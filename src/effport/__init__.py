@@ -9,8 +9,10 @@ from .binmodel import (
     ENUMERATION_LIMIT,
     BinaryModelParams,
     JointBinaryDistribution,
+    WinCountLaw,
     build_joint,
     sample,
+    win_count_law,
 )
 from .corrmat import (
     CorrelationMatrix,
@@ -51,6 +53,7 @@ from .errors import (
     ParseError,
 )
 from .kelly import (
+    MAX_SYMMETRIC_ASSETS,
     GrowthResult,
     MisestimationResult,
     growth_rate,

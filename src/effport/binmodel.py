@@ -7,8 +7,15 @@ with conditional probabilities
     P(-1 | hidden -1) = 1 - p + p sqrt(C)
 
 which gives every asset the marginal win probability p and every pair the
-correlation C, for C in [0, 1]. Exact enumeration covers up to 20 assets;
-beyond that, use :func:`sample`.
+correlation C, for C in [0, 1].
+
+The model is exchangeable, so anything that treats the assets alike depends
+only on the number k of winning assets. :func:`win_count_law` gives the exact
+(M+1)-point law of k in closed form; the symmetric growth solvers (fig1,
+fig2) run on it, up to the asset cap in :mod:`effport.kelly`.
+:func:`build_joint` enumerates the full 2^M outcome table, needed only for
+general (unequal) fractions and limited to 20 assets; beyond that, use
+:func:`sample`.
 
 Sampling uses numpy's PCG64 generator seeded explicitly, so identical seeds
 reproduce identical draws on one platform; cross-platform reproduction is
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import gammaln, xlogy
 
 from .errors import DomainError, EnumerationLimitError
 
@@ -98,7 +105,8 @@ class JointBinaryDistribution:
         """Distribution of the summed return over all assets.
 
         Returns (sums, probabilities) with sums = 2k - M for k winning assets;
-        an exact regrouping of the full table that one-variable solvers use.
+        an exact regrouping of the full table, which :func:`win_count_law`
+        gives directly.
         """
         k = ((self.outcomes + 1) // 2).sum(axis=1)
         probs = np.bincount(k, weights=self.probabilities, minlength=self.m + 1)
@@ -106,11 +114,42 @@ class JointBinaryDistribution:
         return sums, probs
 
 
-def build_joint(params: BinaryModelParams) -> JointBinaryDistribution:
-    """Enumerate the exact joint distribution of all 2^M outcome vectors.
+@dataclass(frozen=True, eq=False)
+class WinCountLaw:
+    """Exact law of the number k of winning assets, k = 0..M.
 
-    P(R) = p * prod_i P(R_i | hidden +1) + (1-p) * prod_i P(R_i | hidden -1).
+    ``sums[k] = 2k - M`` is the summed return of all assets when k of them
+    win, and ``probs[k]`` its probability. An equal-fraction portfolio depends
+    on the model only through these M + 1 points.
     """
+
+    m: int
+    sums: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self):
+        if self.sums.shape != (self.m + 1,) or self.probs.shape != (self.m + 1,):
+            raise DomainError("win-count law needs M + 1 sums and probabilities")
+
+
+def _log_mixture(wins: np.ndarray, params: BinaryModelParams) -> np.ndarray:
+    """Log probability of one outcome vector with the given number of wins.
+
+    P(R) = p * prod_i P(R_i | hidden +1) + (1-p) * prod_i P(R_i | hidden -1);
+    xlogy keeps 0 * log 0 = 0 where a conditional is 0 or 1 (C = 1).
+    """
+    m = params.m
+    a_win, a_lose = params.cond_win, params.cond_lose
+    log_given_up = xlogy(wins, a_win) + xlogy(m - wins, 1.0 - a_win)
+    log_given_down = xlogy(wins, 1.0 - a_lose) + xlogy(m - wins, a_lose)
+    return np.logaddexp(
+        math.log(params.p) + log_given_up,
+        math.log1p(-params.p) + log_given_down,
+    )
+
+
+def build_joint(params: BinaryModelParams) -> JointBinaryDistribution:
+    """Enumerate the exact joint distribution of all 2^M outcome vectors."""
     if params.m > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"exact enumeration supports at most {ENUMERATION_LIMIT} assets, "
@@ -120,18 +159,27 @@ def build_joint(params: BinaryModelParams) -> JointBinaryDistribution:
     codes = np.arange(2**m, dtype=np.int64)
     bits = (codes[:, None] >> np.arange(m - 1, -1, -1)) & 1
     outcomes = (2 * bits - 1).astype(np.int8)
-    wins = bits.sum(axis=1)
-
-    a_win, a_lose = params.cond_win, params.cond_lose
-    log_given_up = xlogy(wins, a_win) + xlogy(m - wins, 1.0 - a_win)
-    log_given_down = xlogy(wins, 1.0 - a_lose) + xlogy(m - wins, a_lose)
-    logp = np.logaddexp(
-        math.log(params.p) + log_given_up,
-        math.log1p(-params.p) + log_given_down,
-    )
+    logp = _log_mixture(bits.sum(axis=1), params)
     outcomes.flags.writeable = False
     logp.flags.writeable = False
     return JointBinaryDistribution(m=m, outcomes=outcomes, log_probabilities=logp)
+
+
+def win_count_law(params: BinaryModelParams) -> WinCountLaw:
+    """Closed-form law of the number of winning assets, in O(M).
+
+    P(k) = C(M,k) [p a^k (1-a)^(M-k) + (1-p) (1-b)^k b^(M-k)] with
+    a = cond_win and b = cond_lose, evaluated in log space (the binomial
+    coefficient through gammaln), so it stays exact far beyond 2^M tables.
+    """
+    m = params.m
+    k = np.arange(m + 1, dtype=float)
+    log_binom = gammaln(m + 1.0) - gammaln(k + 1.0) - gammaln(m - k + 1.0)
+    probs = np.exp(log_binom + _log_mixture(k, params))
+    sums = 2.0 * k - m
+    probs.flags.writeable = False
+    sums.flags.writeable = False
+    return WinCountLaw(m=m, sums=sums, probs=probs)
 
 
 def sample(params: BinaryModelParams, n: int, seed: int) -> np.ndarray:

@@ -213,8 +213,8 @@ def _cmd_sliding(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    _require(1 <= args.m <= binmodel.ENUMERATION_LIMIT,
-             f"--m must lie in [1, {binmodel.ENUMERATION_LIMIT}]")
+    _require(1 <= args.m <= kelly.MAX_SYMMETRIC_ASSETS,
+             f"--m must lie in [1, {kelly.MAX_SYMMETRIC_ASSETS}]")
     p_values = _float_list(args.p_list)
     c_grid = _float_list(args.c_grid) if args.c_grid else [round(0.05 * i, 10) for i in range(21)]
     _require(all(0.5 < p < 1.0 for p in p_values),
@@ -224,8 +224,8 @@ def _cmd_fig1(args) -> int:
     for p in p_values:
         totals = kelly.uncorrelated_total_curve(args.m, p)
         for c in c_grid:
-            dist = binmodel.build_joint(binmodel.BinaryModelParams(args.m, p, c))
-            target = kelly.maximize_growth_symmetric(dist).total_fraction
+            law = binmodel.win_count_law(binmodel.BinaryModelParams(args.m, p, c))
+            target = kelly.maximize_growth_symmetric(law).total_fraction
             numeric = kelly.invert_total_curve(totals, target)
             rows.append(
                 [
@@ -240,8 +240,8 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    _require(1 <= args.m <= binmodel.ENUMERATION_LIMIT,
-             f"--m must lie in [1, {binmodel.ENUMERATION_LIMIT}]")
+    _require(1 <= args.m <= kelly.MAX_SYMMETRIC_ASSETS,
+             f"--m must lie in [1, {kelly.MAX_SYMMETRIC_ASSETS}]")
     _require(0.0 < args.p < 1.0, "--p must lie in (0, 1)")
     _require(0.0 <= args.c_true <= 1.0, "--c-true must lie in [0, 1]")
     c_grid = (

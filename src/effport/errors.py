@@ -22,7 +22,7 @@ class BankruptcyError(EffportError):
 
 
 class EnumerationLimitError(EffportError):
-    """Exact outcome enumeration was requested above the supported asset count."""
+    """An exact model computation was requested above its supported asset count."""
 
 
 class ExtrapolationError(EffportError):

@@ -4,9 +4,9 @@ Two solution paths are provided for exchangeable win/lose assets. The
 first-order path linearizes the optimality condition (valid while the total
 invested fraction stays small) and reuses the inverse correlation matrix.
 The numeric path maximizes the exact expected log growth, which for identical
-assets is a one-variable concave problem solved by golden-section search on
-[0, (1-eps)/M]; the upper bound keeps wealth positive even when every asset
-loses at once.
+assets is a one-variable concave problem on the (M+1)-point law of the number
+of winning assets, solved by golden-section search on [0, (1-eps)/M]; the
+upper bound keeps wealth positive even when every asset loses at once.
 
 The numeric effective size matches total invested wealth between the
 correlated portfolio and a fictitious uncorrelated one, interpolating the
@@ -21,9 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .binmodel import BinaryModelParams, JointBinaryDistribution, build_joint
+from .binmodel import BinaryModelParams, JointBinaryDistribution, WinCountLaw, win_count_law
 from .corrmat import InverseCorrelationMatrix
-from .errors import BankruptcyError, DomainError, ExtrapolationError, InputShapeError
+from .errors import (
+    BankruptcyError,
+    DomainError,
+    EnumerationLimitError,
+    ExtrapolationError,
+    InputShapeError,
+)
 from .meanvar import PortfolioWeights
 
 #: Safety margin keeping 1 + f * sum(R) positive at the all-losses outcome.
@@ -31,6 +37,10 @@ FEASIBILITY_EPS = 1e-9
 
 #: Absolute bracket width at which golden-section search stops.
 BRACKET_TOL = 1e-12
+
+#: Largest asset count the symmetric solvers accept. The uncorrelated
+#: reference curve costs O(M^2): about 2 s at this size.
+MAX_SYMMETRIC_ASSETS = 2000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,14 +81,25 @@ def growth_rate(weights, dist: JointBinaryDistribution) -> float:
     f = np.asarray(getattr(weights, "fractions", weights), dtype=float)
     if f.shape != (dist.m,):
         raise InputShapeError(f"expected {dist.m} fractions, got shape {f.shape}")
-    probs = dist.probabilities
-    gains = dist.outcomes @ f
+    return _expected_log_wealth(dist.probabilities, dist.outcomes @ f)
+
+
+def _expected_log_wealth(probs: np.ndarray, gains: np.ndarray) -> float:
+    """E[log(1 + gain)] over the outcomes of positive probability."""
     live = probs > 0.0
     if np.any(gains[live] <= -1.0):
         raise BankruptcyError(
             "fractions admit total loss: some outcome drives wealth to zero or below"
         )
     return float(probs[live] @ np.log1p(gains[live]))
+
+
+def _check_asset_count(m: int) -> None:
+    if m > MAX_SYMMETRIC_ASSETS:
+        raise EnumerationLimitError(
+            f"the symmetric growth solvers support at most {MAX_SYMMETRIC_ASSETS} "
+            f"assets, got {m}"
+        )
 
 
 def kelly_first_order(
@@ -124,17 +145,18 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float = BRACKET_TOL):
     return x, fn(x)
 
 
-def maximize_growth_symmetric(dist: JointBinaryDistribution) -> GrowthResult:
+def maximize_growth_symmetric(law: WinCountLaw) -> GrowthResult:
     """Exact growth maximum for exchangeable assets, solved in one variable.
 
     With identical assets the optimum spreads wealth evenly, so G depends on
-    the common fraction f only through the summed return. Abstention (f = 0)
-    is always feasible, hence the optimal growth rate is never negative.
+    the common fraction f only through the summed return, whose law is
+    ``law``. Abstention (f = 0) is always feasible, hence the optimal growth
+    rate is never negative.
     """
-    sums, probs = dist.sum_support
+    sums, probs = law.sums, law.probs
     if float(probs @ sums) <= 0.0:
         return GrowthResult(f_star=0.0, g_star=0.0, total_fraction=0.0, method="numeric-exact")
-    upper = (1.0 - FEASIBILITY_EPS) / dist.m
+    upper = (1.0 - FEASIBILITY_EPS) / law.m
 
     def g(f: float) -> float:
         return float(probs @ np.log1p(f * sums))
@@ -161,16 +183,17 @@ def maximize_growth_symmetric(dist: JointBinaryDistribution) -> GrowthResult:
     return GrowthResult(
         f_star=f_star,
         g_star=g_star,
-        total_fraction=dist.m * f_star,
+        total_fraction=law.m * f_star,
         method="numeric-exact",
     )
 
 
 def uncorrelated_total_curve(m: int, p: float) -> np.ndarray:
     """Total invested fraction k * f*(k) for k = 1..m uncorrelated assets."""
+    _check_asset_count(m)
     return np.array(
         [
-            maximize_growth_symmetric(build_joint(BinaryModelParams(k, p, 0.0))).total_fraction
+            maximize_growth_symmetric(win_count_law(BinaryModelParams(k, p, 0.0))).total_fraction
             for k in range(1, m + 1)
         ]
     )
@@ -204,8 +227,9 @@ def m_ef_kelly_numeric(m: int, p: float, c: float) -> float:
     params = BinaryModelParams(m, p, c)
     if p <= 0.5:
         raise DomainError(f"win probability must exceed 1/2, got {p}")
-    target = maximize_growth_symmetric(build_joint(params)).total_fraction
-    return invert_total_curve(uncorrelated_total_curve(m, p), target)
+    totals = uncorrelated_total_curve(m, p)
+    target = maximize_growth_symmetric(win_count_law(params)).total_fraction
+    return invert_total_curve(totals, target)
 
 
 def misestimation_experiment(
@@ -217,11 +241,12 @@ def misestimation_experiment(
     model and then evaluated under the true one. The realized curve peaks at
     the true correlation.
     """
-    true_dist = build_joint(BinaryModelParams(m, p, c_true))
+    _check_asset_count(m)
+    true_law = win_count_law(BinaryModelParams(m, p, c_true))
     results: list[MisestimationResult] = []
     for c_assumed in c_assumed_grid:
-        assumed = maximize_growth_symmetric(build_joint(BinaryModelParams(m, p, c_assumed)))
-        realized = growth_rate(np.full(m, assumed.f_star), true_dist)
+        assumed = maximize_growth_symmetric(win_count_law(BinaryModelParams(m, p, c_assumed)))
+        realized = _expected_log_wealth(true_law.probs, assumed.f_star * true_law.sums)
         results.append(
             MisestimationResult(
                 c_true=float(c_true),

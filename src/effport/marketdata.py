@@ -3,9 +3,9 @@
 File formats
 ------------
 Price file: delimiter-separated text with a header row ``date,ASSET1,...``,
-one row per trading day, ISO-8601 dates in strictly increasing order, and
-positive decimal prices. An empty cell marks a missing quote; assets with any
-missing quote are dropped (and reported) rather than imputed.
+one row per trading day, ``YYYY-MM-DD`` dates in strictly increasing order,
+and positive finite decimal prices. An empty cell marks a missing quote;
+assets with any missing quote are dropped (and reported) rather than imputed.
 
 Sector file: two columns ``asset,sector`` with a header row.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -139,8 +140,9 @@ def load_prices(source) -> PricePanel:
     """Load and validate a price panel from a CSV path or file object.
 
     Assets with any missing quote are dropped and listed in
-    ``dropped_assets``; syntax problems raise ParseError with the line
-    number, nonpositive prices raise DataError.
+    ``dropped_assets``; syntax problems (including dates not in
+    ``YYYY-MM-DD`` form and ``nan``/``inf`` prices) raise ParseError with the
+    line number, nonpositive prices raise DataError.
     """
     fh, owns = _open_text(source)
     try:
@@ -169,9 +171,14 @@ def load_prices(source) -> PricePanel:
                 )
             token = row[0].strip()
             try:
+                # fromisoformat alone also takes 20080103 on Python >= 3.11
+                if len(token) != 10 or token[4] != "-" or token[7] != "-":
+                    raise ValueError
                 datetime.date.fromisoformat(token)
             except ValueError:
-                raise ParseError(f"invalid ISO-8601 date {token!r}", line=lineno) from None
+                raise ParseError(
+                    f"invalid date {token!r}, expected YYYY-MM-DD", line=lineno
+                ) from None
             values = []
             for name, cell in zip(assets, row[1:]):
                 cell = cell.strip()
@@ -180,11 +187,13 @@ def load_prices(source) -> PricePanel:
                     continue
                 try:
                     price = float(cell)
+                    if not math.isfinite(price):
+                        raise ValueError
                 except ValueError:
                     raise ParseError(
                         f"unparseable price {cell!r} for {name}", line=lineno
                     ) from None
-                if not np.isfinite(price) or price <= 0.0:
+                if price <= 0.0:
                     raise DataError(f"line {lineno}: nonpositive price {cell} for {name}")
                 values.append(price)
             dates.append(token)

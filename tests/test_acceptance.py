@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from effport import cli
-from effport.binmodel import BinaryModelParams, build_joint, sample
+from effport.binmodel import BinaryModelParams, build_joint, sample, win_count_law
 from effport.corrmat import (
     CorrelationMatrix,
     block_diagonal,
@@ -126,7 +126,7 @@ def test_04_mean_variance_optimum():
 @criterion("05 single-asset growth optimum")
 def test_05_kelly_reduction():
     for p in (0.3, 0.5, 0.55, 0.6, 0.75):
-        res = maximize_growth_symmetric(build_joint(BinaryModelParams(1, p, 0.0)))
+        res = maximize_growth_symmetric(win_count_law(BinaryModelParams(1, p, 0.0)))
         assert abs(res.f_star - max(2 * p - 1, 0.0)) <= 1e-8, p
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from effport import cli
 from effport.corrmat import uniform_matrix
+from effport.kelly import MAX_SYMMETRIC_ASSETS
 from effport.marketdata import fmt_float, panel_from_returns, write_prices_csv
 
 
@@ -220,8 +221,16 @@ class TestFig1:
         assert code == 1
 
     def test_rejects_big_m(self, capsys):
-        code, _, _ = run(["fig1", "--m", "25"], capsys)
+        code, _, _ = run(["fig1", "--m", str(MAX_SYMMETRIC_ASSETS + 1)], capsys)
         assert code == 1
+
+    def test_m_beyond_enumeration_limit(self, capsys):
+        # the win-count law replaced the 2^M table, so M > 20 now solves
+        code, stdout, _ = run(["fig1", "--m", "25"], capsys)
+        assert code == 0
+        _, rows = parse_table(stdout)
+        assert len(rows) == 3 * 21
+        assert all(1.0 <= float(row[3]) <= 25.0 for row in rows)
 
 
 class TestFig2:

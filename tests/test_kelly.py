@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from effport.binmodel import BinaryModelParams, build_joint
+from effport.binmodel import BinaryModelParams, build_joint, win_count_law
 from effport.corrmat import CorrelationMatrix, invert, uniform_matrix
 from effport.errors import (
     BankruptcyError,
@@ -13,6 +13,7 @@ from effport.errors import (
     InputShapeError,
 )
 from effport.kelly import (
+    MAX_SYMMETRIC_ASSETS,
     growth_rate,
     invert_total_curve,
     kelly_first_order,
@@ -109,27 +110,27 @@ class TestFirstOrder:
 class TestSymmetricMaximization:
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.55, 0.6, 0.75])
     def test_single_asset_reduces_to_kelly(self, p):
-        res = maximize_growth_symmetric(build_joint(BinaryModelParams(1, p, 0.0)))
+        res = maximize_growth_symmetric(win_count_law(BinaryModelParams(1, p, 0.0)))
         assert res.f_star == pytest.approx(max(2 * p - 1, 0.0), abs=1e-8)
         assert res.method == "numeric-exact"
 
     def test_perfectly_correlated_acts_as_single_asset(self):
-        res = maximize_growth_symmetric(build_joint(BinaryModelParams(10, 0.6, 1.0)))
+        res = maximize_growth_symmetric(win_count_law(BinaryModelParams(10, 0.6, 1.0)))
         assert res.total_fraction == pytest.approx(0.2, abs=1e-10)
         assert res.f_star == pytest.approx(0.02, abs=1e-11)
 
     def test_total_close_to_first_order_for_small_returns(self):
-        res = maximize_growth_symmetric(build_joint(BinaryModelParams(10, 0.55, 0.2)))
+        res = maximize_growth_symmetric(win_count_law(BinaryModelParams(10, 0.55, 0.2)))
         w = kelly_first_order(0.1, math.sqrt(0.99), invert(uniform_matrix(10, 0.2)))
         assert res.total_fraction == pytest.approx(w.total, abs=0.01)
 
     def test_large_edge_invests_most_wealth(self):
         # the regime where the linearized solution stops being trustworthy
-        res = maximize_growth_symmetric(build_joint(BinaryModelParams(10, 0.7, 0.25)))
+        res = maximize_growth_symmetric(win_count_law(BinaryModelParams(10, 0.7, 0.25)))
         assert res.total_fraction > 0.8
 
     def test_abstention_gives_zero_growth_exactly(self):
-        res = maximize_growth_symmetric(build_joint(BinaryModelParams(5, 0.4, 0.3)))
+        res = maximize_growth_symmetric(win_count_law(BinaryModelParams(5, 0.4, 0.3)))
         assert res.f_star == 0.0 and res.g_star == 0.0 and res.total_fraction == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
@@ -137,30 +138,31 @@ class TestSymmetricMaximization:
         rng = np.random.default_rng(seed)
         params = BinaryModelParams(6, 0.58, 0.25)
         dist = build_joint(params)
-        res = maximize_growth_symmetric(dist)
+        res = maximize_growth_symmetric(win_count_law(params))
         for _ in range(200):
             f = rng.uniform(0.0, (1 - 1e-9) / 6)
             g = growth_rate(np.full(6, f), dist)
             assert g <= res.g_star + 1e-10
 
     def test_first_order_optimality_at_interior_optimum(self):
-        dist = build_joint(BinaryModelParams(10, 0.7, 0.3))
-        res = maximize_growth_symmetric(dist)
-        sums, probs = dist.sum_support
+        law = win_count_law(BinaryModelParams(10, 0.7, 0.3))
+        res = maximize_growth_symmetric(law)
+        sums, probs = law.sums, law.probs
         slope = float(probs @ (sums / (1.0 + res.f_star * sums)))
         assert abs(slope) <= 1e-9
 
     def test_growth_never_negative_at_optimum(self):
         for p in (0.45, 0.5, 0.51, 0.6):
-            res = maximize_growth_symmetric(build_joint(BinaryModelParams(4, p, 0.15)))
+            res = maximize_growth_symmetric(win_count_law(BinaryModelParams(4, p, 0.15)))
             assert res.g_star >= 0.0
             assert 0.0 <= res.total_fraction < 1.0
 
     def test_dense_grid_oracle(self):
-        # brute-force scan of the one-variable objective
-        dist = build_joint(BinaryModelParams(8, 0.62, 0.4))
-        res = maximize_growth_symmetric(dist)
-        sums, probs = dist.sum_support
+        # brute-force scan of the one-variable objective on the enumerated
+        # table's regrouping, independent of the closed-form law
+        params = BinaryModelParams(8, 0.62, 0.4)
+        sums, probs = build_joint(params).sum_support
+        res = maximize_growth_symmetric(win_count_law(params))
         grid = np.linspace(0.0, (1 - 1e-9) / 8, 20001)
         values = (probs[None, :] * np.log1p(np.outer(grid, sums))).sum(axis=1)
         assert values.max() <= res.g_star + 1e-9
@@ -184,7 +186,15 @@ class TestEffectiveSizeNumeric:
 
     def test_enumeration_limit(self):
         with pytest.raises(EnumerationLimitError):
-            m_ef_kelly_numeric(21, 0.55, 0.3)
+            m_ef_kelly_numeric(MAX_SYMMETRIC_ASSETS + 1, 0.55, 0.3)
+        with pytest.raises(EnumerationLimitError):
+            misestimation_experiment(MAX_SYMMETRIC_ASSETS + 1, 0.55, 0.2, [0.2])
+
+    def test_beyond_outcome_table_limit(self):
+        # the 2^M table stops at 20 assets; the win-count law does not
+        got = m_ef_kelly_numeric(21, 0.55, 0.3)
+        assert 1.0 <= got <= 21.0
+        assert abs(got - 21 / (1 + 20 * 0.3)) <= 0.15
 
     def test_result_within_bounds(self):
         for c in (0.05, 0.5, 0.95):
@@ -210,9 +220,16 @@ class TestMisestimation:
     def test_correct_assumption_attains_optimum(self):
         m, p, c = 8, 0.55, 0.25
         res = misestimation_experiment(m, p, c, [c])[0]
-        best = maximize_growth_symmetric(build_joint(BinaryModelParams(m, p, c)))
+        best = maximize_growth_symmetric(win_count_law(BinaryModelParams(m, p, c)))
         assert res.g_realized == pytest.approx(best.g_star, abs=1e-12)
         assert res.f_assumed == pytest.approx(best.f_star, abs=1e-12)
+
+    def test_realized_growth_matches_table(self):
+        m, p, c_true = 9, 0.6, 0.35
+        table = build_joint(BinaryModelParams(m, p, c_true))
+        for r in misestimation_experiment(m, p, c_true, [0.0, 0.2, 0.35, 0.9, 1.0]):
+            expected = growth_rate(np.full(m, r.f_assumed), table)
+            assert r.g_realized == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_peak_at_true_correlation_and_unimodal(self):
         grid = [round(0.05 * i, 10) for i in range(13)]
@@ -233,7 +250,7 @@ class TestMisestimation:
 
     def test_never_exceeds_true_optimum(self):
         m, p, c = 6, 0.6, 0.3
-        best = maximize_growth_symmetric(build_joint(BinaryModelParams(m, p, c)))
+        best = maximize_growth_symmetric(win_count_law(BinaryModelParams(m, p, c)))
         grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.8]
         for r in misestimation_experiment(m, p, c, grid):
             assert r.g_realized <= best.g_star + 1e-12

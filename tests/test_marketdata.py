@@ -82,6 +82,22 @@ class TestLoadPrices:
         with pytest.raises(DataError):
             load_from_text(text)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_nonfinite_price_is_unparseable(self, cell):
+        text = f"date,AAA,BBB\n2020-01-02,100,50\n2020-01-03,101,{cell}\n"
+        with pytest.raises(ParseError) as exc:
+            load_from_text(text)
+        assert exc.value.line == 3
+        assert "BBB" in str(exc.value)
+
+    def test_mixed_date_formats_report_line(self):
+        # fromisoformat accepts the basic form 20200103 on Python >= 3.11
+        text = "date,AAA\n2020-01-02,100\n20200103,101\n2020-01-06,102\n"
+        with pytest.raises(ParseError) as exc:
+            load_from_text(text)
+        assert exc.value.line == 3
+        assert "YYYY-MM-DD" in str(exc.value)
+
     def test_out_of_order_dates(self):
         text = "date,AAA\n2020-01-03,100\n2020-01-02,101\n"
         with pytest.raises(DataError):
