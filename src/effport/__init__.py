@@ -21,6 +21,7 @@ from .corrmat import (
     SummaryStats,
     block_diagonal,
     estimate_matrix,
+    inverse_stack,
     invert,
     pearson,
     symmetric_inverse,

@@ -29,12 +29,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import DomainError, EnumerationLimitError
 
 #: Largest asset count for exact enumeration of all 2^M outcomes.
 ENUMERATION_LIMIT = 20
+
+#: log(k!) for k = 0, 1, ...; grown on demand by :func:`_log_factorials`.
+_LOG_FACTORIALS = np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -132,16 +134,37 @@ class WinCountLaw:
             raise DomainError("win-count law needs M + 1 sums and probabilities")
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n, each from math.lgamma.
+
+    The table is a pure cache (entry k never changes); it at least doubles
+    whenever it grows, so a sweep over M = 1..n builds it O(log n) times.
+    """
+    global _LOG_FACTORIALS
+    if _LOG_FACTORIALS.size <= n:
+        size = max(n + 1, 2 * _LOG_FACTORIALS.size)
+        _LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(size)])
+        _LOG_FACTORIALS.flags.writeable = False
+    return _LOG_FACTORIALS[: n + 1]
+
+
+def _xlogy(x: np.ndarray, y: float) -> np.ndarray:
+    """x * log(y), with 0 where x == 0 (so 0 * log 0 = 0)."""
+    log_y = math.log(y) if y > 0.0 else -math.inf
+    with np.errstate(invalid="ignore"):
+        return np.where(x == 0, 0.0, x * log_y)
+
+
 def _log_mixture(wins: np.ndarray, params: BinaryModelParams) -> np.ndarray:
     """Log probability of one outcome vector with the given number of wins.
 
     P(R) = p * prod_i P(R_i | hidden +1) + (1-p) * prod_i P(R_i | hidden -1);
-    xlogy keeps 0 * log 0 = 0 where a conditional is 0 or 1 (C = 1).
+    :func:`_xlogy` keeps 0 * log 0 = 0 where a conditional is 0 or 1 (C = 1).
     """
     m = params.m
     a_win, a_lose = params.cond_win, params.cond_lose
-    log_given_up = xlogy(wins, a_win) + xlogy(m - wins, 1.0 - a_win)
-    log_given_down = xlogy(wins, 1.0 - a_lose) + xlogy(m - wins, a_lose)
+    log_given_up = _xlogy(wins, a_win) + _xlogy(m - wins, 1.0 - a_win)
+    log_given_down = _xlogy(wins, 1.0 - a_lose) + _xlogy(m - wins, a_lose)
     return np.logaddexp(
         math.log(params.p) + log_given_up,
         math.log1p(-params.p) + log_given_down,
@@ -170,11 +193,13 @@ def win_count_law(params: BinaryModelParams) -> WinCountLaw:
 
     P(k) = C(M,k) [p a^k (1-a)^(M-k) + (1-p) (1-b)^k b^(M-k)] with
     a = cond_win and b = cond_lose, evaluated in log space (the binomial
-    coefficient through gammaln), so it stays exact far beyond 2^M tables.
+    coefficient from a table of log factorials), so it stays exact far beyond
+    2^M tables.
     """
     m = params.m
     k = np.arange(m + 1, dtype=float)
-    log_binom = gammaln(m + 1.0) - gammaln(k + 1.0) - gammaln(m - k + 1.0)
+    log_fact = _log_factorials(m)
+    log_binom = log_fact[m] - log_fact - log_fact[::-1]
     probs = np.exp(log_binom + _log_mixture(k, params))
     sums = 2.0 * k - m
     probs.flags.writeable = False

@@ -207,6 +207,13 @@ def _cmd_sliding(args) -> int:
         raise _UsageError(str(exc)) from None
     panel = marketdata.load_prices(args.prices)
     points = marketdata.sliding_window_effsize(panel, window)
+    nan_windows = sum(np.isnan(pt.m_ef) for pt in points)
+    if nan_windows:
+        print(
+            f"warning: {nan_windows} near-singular windows out of {len(points)} "
+            "have m_ef = nan",
+            file=sys.stderr,
+        )
     rows = [[pt.end_date, fmt_float(pt.m_ef), fmt_float(pt.annualized_return)] for pt in points]
     _write_table(args.out, ["date", "m_ef", "annual_return"], rows)
     return EXIT_OK

@@ -6,16 +6,20 @@ only matters for reported variances; fixing it keeps results bit-reproducible.
 
 A series with exactly zero variance is treated as risk-free and gets
 correlation 0 with everything instead of raising.
+
+Inversion runs on whole stacks of matrices (:func:`inverse_stack`): one
+batched eigenvalue call gives each matrix's 2-norm reciprocal condition, one
+batched LU inverse follows, and a residual check accepts or refuses each
+inverse on its own. :func:`symmetric_inverse` is the one-matrix case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DomainError, InputShapeError, NearSingularError
 
@@ -212,39 +216,68 @@ def estimate_matrix(panel: Sequence) -> CorrelationMatrix:
     return CorrelationMatrix(correlation_values(np.column_stack(columns)))
 
 
-def symmetric_inverse(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Invert a symmetric matrix; return (inverse, reciprocal condition).
+class InverseStack(NamedTuple):
+    """Inverses of a (k, n, n) stack with their per-matrix diagnostics.
 
-    Tries a symmetric positive-definite (Cholesky) factorization first and
-    falls back to a pivoted LU factorization when the matrix is indefinite.
-    Raises NearSingularError when the reciprocal condition number falls below
-    RCOND_FLOOR or the inverse fails the residual check.
+    ``values`` holds NaN for every refused matrix; ``usable`` marks the
+    matrices whose inverse passed both the condition and the residual check.
+    """
+
+    values: np.ndarray
+    rcond: np.ndarray
+    residual: np.ndarray
+    usable: np.ndarray
+
+
+def inverse_stack(a: np.ndarray) -> InverseStack:
+    """Invert every symmetric matrix of a (k, n, n) stack in one pass.
+
+    The reciprocal condition is the 2-norm value |eig|min / |eig|max; a
+    matrix below RCOND_FLOOR is refused and replaced by the identity before
+    the batched inverse, so it cannot abort the rest of the stack. Indefinite
+    matrices invert like any other (LU with partial pivoting). Each inverse
+    is symmetrized and refused when max|C @ inv - I| exceeds
+    INVERSE_RESIDUAL_TOL.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise InputShapeError(f"need a (k, n, n) stack of square matrices, got shape {a.shape}")
+    eye = np.eye(a.shape[1])
+    eigs = np.abs(np.linalg.eigvalsh(a))
+    largest = eigs.max(axis=1)
+    # an all-zero matrix has condition 0 rather than 0/0
+    rcond = eigs.min(axis=1) / np.where(largest == 0.0, np.inf, largest)
+    conditioned = rcond >= RCOND_FLOOR
+    inv = np.linalg.inv(np.where(conditioned[:, None, None], a, eye))
+    inv = 0.5 * (inv + np.swapaxes(inv, 1, 2))
+    residual = np.max(np.abs(a @ inv - eye), axis=(1, 2))
+    usable = conditioned & (residual <= INVERSE_RESIDUAL_TOL)
+    inv[~usable] = np.nan
+    return InverseStack(values=inv, rcond=rcond, residual=residual, usable=usable)
+
+
+def symmetric_inverse(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Invert one symmetric matrix; return (inverse, reciprocal condition).
+
+    The one-matrix case of :func:`inverse_stack`. Raises NearSingularError
+    when the reciprocal condition number falls below RCOND_FLOOR or the
+    inverse fails the residual check.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputShapeError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    eigs = np.abs(np.linalg.eigvalsh(a))
-    largest = float(np.max(eigs))
-    rcond = 0.0 if largest == 0.0 else float(np.min(eigs)) / largest
-    if rcond < RCOND_FLOOR:
+    out = inverse_stack(a[None])
+    rcond = float(out.rcond[0])
+    if not rcond >= RCOND_FLOOR:
         raise NearSingularError(
             f"reciprocal condition {rcond:.3e} below {RCOND_FLOOR:.0e} "
             "(redundant or duplicated assets?)"
         )
-    try:
-        factor = linalg.cho_factor(a, lower=True, check_finite=False)
-        inv = linalg.cho_solve(factor, np.eye(n), check_finite=False)
-    except np.linalg.LinAlgError:
-        lu, piv = linalg.lu_factor(a, check_finite=False)
-        inv = linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
-    inv = 0.5 * (inv + inv.T)
-    residual = np.max(np.abs(a @ inv - np.eye(n)))
-    if residual > INVERSE_RESIDUAL_TOL:
+    if not out.usable[0]:
         raise NearSingularError(
-            f"inverse residual {residual:.3e} exceeds {INVERSE_RESIDUAL_TOL:.0e}"
+            f"inverse residual {out.residual[0]:.3e} exceeds {INVERSE_RESIDUAL_TOL:.0e}"
         )
-    return inv, rcond
+    return out.values[0], rcond
 
 
 def invert(corr: CorrelationMatrix) -> InverseCorrelationMatrix:
@@ -297,4 +330,9 @@ def block_diagonal(blocks: Sequence[CorrelationMatrix]) -> CorrelationMatrix:
     """Assemble correlation blocks along the diagonal, zeros elsewhere."""
     if len(blocks) < 1:
         raise InputShapeError("need at least one block")
-    return CorrelationMatrix(linalg.block_diag(*[b.values for b in blocks]))
+    out = np.zeros((sum(b.dim for b in blocks),) * 2)
+    start = 0
+    for b in blocks:
+        out[start : start + b.dim, start : start + b.dim] = b.values
+        start += b.dim
+    return CorrelationMatrix(out)

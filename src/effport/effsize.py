@@ -7,6 +7,10 @@ sum of all entries of the inverse correlation matrix. This module also
 provides the closed form for uniform correlations, the average-correlation
 (even-investment) estimate, the sector-reduced estimate, and the
 variance-ratio estimate from index data.
+
+The exact, even and sector estimates also come in stacked form
+(``*_stack``), evaluated for a whole (k, M, M) stack of matrices at once
+through the same formulas; a value that is undefined for one matrix is NaN.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corrmat import InverseCorrelationMatrix, symmetric_inverse, _series_values
+from .corrmat import InverseCorrelationMatrix, _series_values, inverse_stack, symmetric_inverse
 from .errors import DomainError, InputShapeError
 
 
@@ -123,13 +127,27 @@ def m_ef_uniform(m: int, c: float) -> float:
     return m / (1.0 + (m - 1) * c)
 
 
+def m_ef_exact_stack(a: np.ndarray) -> np.ndarray:
+    """Exact effective size of every matrix in a (k, M, M) stack.
+
+    NaN where :func:`~effport.corrmat.inverse_stack` refuses the matrix.
+    """
+    return inverse_stack(a).values.sum(axis=(1, 2))
+
+
+def _even_terms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<C> and the denominator 1 + (M-1)<C> for a (..., M, M) stack."""
+    m = a.shape[-1]
+    avg = (a.sum(axis=(-2, -1)) - np.trace(a, axis1=-2, axis2=-1)) / (m * (m - 1))
+    return avg, 1.0 + (m - 1) * avg
+
+
 def average_correlation(c) -> float:
     """Mean of the strictly off-diagonal entries of a correlation matrix."""
     a = _matrix_values(c)
-    m = a.shape[0]
-    if m < 2:
+    if a.shape[0] < 2:
         raise InputShapeError("average correlation needs at least 2 assets")
-    return float((a.sum() - np.trace(a)) / (m * (m - 1)))
+    return float(_even_terms(a)[0])
 
 
 def m_ef_even(c) -> float:
@@ -142,14 +160,38 @@ def m_ef_even(c) -> float:
     m = a.shape[0]
     if m < 2:
         raise InputShapeError("even-investment estimate needs at least 2 assets")
-    avg = average_correlation(a)
-    denom = 1.0 + (m - 1) * avg
+    avg, denom = _even_terms(a)
     if denom <= 0.0:
         raise DomainError(
             f"nonpositive denominator 1+(M-1)<C> = {denom:.6g} with <C> = {avg:.6g}; "
             "estimate undefined for such negative average correlation"
         )
-    return m / denom
+    return float(m / denom)
+
+
+def m_ef_even_stack(a: np.ndarray) -> np.ndarray:
+    """:func:`m_ef_even` for every matrix of a (k, M, M) stack, M >= 2.
+
+    NaN where the denominator is nonpositive.
+    """
+    _, denom = _even_terms(a)
+    return a.shape[-1] / np.where(denom > 0.0, denom, np.nan)
+
+
+def _sector_weights(codes: np.ndarray, n: int) -> np.ndarray:
+    """Row-normalized one-hot weights (..., n, M) of sector codes (..., M).
+
+    ``codes`` holds each asset's sector index in 0..n-1; every index must
+    occur. Row s averages over the assets of sector s.
+    """
+    onehot = (codes[..., None, :] == np.arange(n)[:, None]).astype(float)
+    return onehot / onehot.sum(axis=-1, keepdims=True)
+
+
+def _reduce(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Symmetrized W C W^T for matching stacks (or single matrices)."""
+    reduced = weights @ a @ np.swapaxes(weights, -1, -2)
+    return 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
 
 
 def reduce_to_sectors(c, partition: SectorPartition) -> ReducedSectorMatrix:
@@ -166,12 +208,8 @@ def reduce_to_sectors(c, partition: SectorPartition) -> ReducedSectorMatrix:
             f"partition must cover asset indices 0..{m - 1} exactly"
         )
     sectors = partition.sectors
-    weights = np.zeros((len(sectors), m))
-    for i, label in partition.assignment.items():
-        weights[sectors.index(label), i] = 1.0
-    weights /= weights.sum(axis=1, keepdims=True)
-    reduced = weights @ a @ weights.T
-    reduced = 0.5 * (reduced + reduced.T)
+    codes = np.array([sectors.index(partition.assignment[i]) for i in range(m)])
+    reduced = _reduce(a, _sector_weights(codes, len(sectors)))
     return ReducedSectorMatrix(values=reduced, sectors=sectors)
 
 
@@ -180,6 +218,26 @@ def m_ef_sector(c, partition: SectorPartition) -> float:
     reduced = reduce_to_sectors(c, partition)
     inv, _ = symmetric_inverse(reduced.values)
     return float(np.sum(inv))
+
+
+def m_ef_sector_stack(a: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """:func:`m_ef_sector` for every matrix of a (k, M, M) stack.
+
+    ``codes`` (k, M) gives each asset's sector as an index into one sorted
+    label list; only the sectors present in a matrix enter its reduction, in
+    that order. NaN where the reduced matrix is refused.
+    """
+    present = np.zeros((codes.shape[0], int(codes.max()) + 1), dtype=bool)
+    np.put_along_axis(present, codes, True, axis=1)
+    # rank of each present sector among the sectors of its own matrix
+    local = np.take_along_axis(np.cumsum(present, axis=1) - 1, codes, axis=1)
+    counts = present.sum(axis=1)
+    out = np.empty(codes.shape[0])
+    for n in np.unique(counts):
+        rows = counts == n
+        weights = _sector_weights(local[rows], int(n))
+        out[rows] = m_ef_exact_stack(_reduce(a[rows], weights))
+    return out
 
 
 def m_ef_variance_ratio(index_returns, constituents: Sequence) -> float:

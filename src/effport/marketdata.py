@@ -24,18 +24,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corrmat import ReturnSeries, correlation_values, symmetric_inverse
-from .effsize import SectorPartition, m_ef_even, m_ef_sector
-from .errors import (
-    DataError,
-    DomainError,
-    InputShapeError,
-    NearSingularError,
-    ParseError,
-)
+from .corrmat import ReturnSeries, correlation_values
+from .effsize import SectorPartition, m_ef_even_stack, m_ef_exact_stack, m_ef_sector_stack
+from .errors import DataError, DomainError, InputShapeError, ParseError
 
 #: Annualization factor: trading days per year.
 TRADING_DAYS_PER_YEAR = 252
+
+#: Matrices evaluated per stack by the subset and sliding pipelines; bounds
+#: their peak memory without changing any result.
+STACK_SIZE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,18 +214,16 @@ def load_prices(source) -> PricePanel:
     )
 
 
-def compute_returns(panel: PricePanel) -> list[ReturnSeries]:
-    """Per-asset simple returns (w[t+1] - w[t]) / w[t], one series per asset."""
-    if panel.n_dates < 2:
-        raise InputShapeError("need at least 2 dates to compute returns")
-    rets = np.diff(panel.prices, axis=0) / panel.prices[:-1]
-    return [ReturnSeries(asset, rets[:, j]) for j, asset in enumerate(panel.assets)]
-
-
 def _returns_matrix(panel: PricePanel) -> np.ndarray:
     if panel.n_dates < 2:
         raise InputShapeError("need at least 2 dates to compute returns")
     return np.diff(panel.prices, axis=0) / panel.prices[:-1]
+
+
+def compute_returns(panel: PricePanel) -> list[ReturnSeries]:
+    """Per-asset simple returns (w[t+1] - w[t]) / w[t], one series per asset."""
+    rets = _returns_matrix(panel)
+    return [ReturnSeries(asset, rets[:, j]) for j, asset in enumerate(panel.assets)]
 
 
 def sliding_window_effsize(
@@ -247,20 +243,27 @@ def sliding_window_effsize(
             f"panel spans {t} dates, shorter than the {window.length}-day window"
         )
     returns = _returns_matrix(panel)
-    points: list[WindowPoint] = []
-    n_windows = (t - window.length) // window.step + 1
-    for k in range(n_windows):
-        start = k * window.step
-        chunk = returns[start : start + window.length - 1]
-        corr = correlation_values(chunk)
-        try:
-            inv, _ = symmetric_inverse(corr)
-            m_ef = float(np.sum(inv))
-        except NearSingularError:
-            m_ef = float("nan")
-        annual = trading_days_per_year * float(chunk.mean())
-        points.append(WindowPoint(panel.dates[start + window.length - 1], m_ef, annual))
-    return points
+    starts = range(0, t - window.length + 1, window.step)
+    chunks = [returns[s : s + window.length - 1] for s in starts]
+    m_ef: list[float] = []
+    for first in range(0, len(chunks), STACK_SIZE):
+        corrs = np.array([correlation_values(c) for c in chunks[first : first + STACK_SIZE]])
+        m_ef.extend(m_ef_exact_stack(corrs).tolist())
+    return [
+        WindowPoint(
+            panel.dates[s + window.length - 1], m, trading_days_per_year * float(c.mean())
+        )
+        for s, c, m in zip(starts, chunks, m_ef)
+    ]
+
+
+def _evaluate_subsets(corr: np.ndarray, idx: np.ndarray, codes: np.ndarray | None):
+    """Exact, even and sector estimates (NaN where undefined) for index rows."""
+    sub = corr[idx[:, :, None], idx[:, None, :]]
+    sector = (
+        m_ef_sector_stack(sub, codes[idx]) if codes is not None else np.full(len(idx), np.nan)
+    )
+    return np.stack([m_ef_exact_stack(sub), m_ef_even_stack(sub), sector])
 
 
 def subset_curve(
@@ -272,9 +275,10 @@ def subset_curve(
 
     The correlation matrix is estimated once on the full panel; each draw
     selects a subset without replacement and evaluates the exact, sector, and
-    average-correlation estimates on the corresponding sub-matrix. Singular
-    sub-matrices are skipped and counted. Fixed (panel, spec, seed) gives
-    identical output.
+    average-correlation estimates on the corresponding sub-matrix. A draw is
+    skipped and counted when its sub-matrix or its sector reduction is
+    near-singular, or its even estimate is undefined. Draws are evaluated in
+    stacks of STACK_SIZE; fixed (panel, spec, seed) gives identical output.
     """
     universe = panel.n_assets
     for size in spec.sizes:
@@ -282,45 +286,36 @@ def subset_curve(
             raise DomainError(
                 f"portfolio size {size} exceeds the {universe}-asset universe"
             )
+    codes = None
     if partition is not None:
         if set(partition.assignment.keys()) != set(range(universe)):
             raise InputShapeError("partition must cover every panel asset exactly once")
-        labels = np.array([partition.assignment[i] for i in range(universe)])
-    else:
-        labels = None
+        # sector indices into the sorted labels, as SectorPartition.sectors orders them
+        labels = [partition.assignment[i] for i in range(universe)]
+        codes = np.unique(labels, return_inverse=True)[1]
 
     corr = correlation_values(_returns_matrix(panel))
     rng = np.random.default_rng(spec.seed)
     points: list[SubsetCurvePoint] = []
     for size in spec.sizes:
-        exact_acc: list[float] = []
-        sector_acc: list[float] = []
-        even_acc: list[float] = []
-        skipped = 0
-        for _ in range(spec.draws):
-            idx = np.sort(rng.choice(universe, size=size, replace=False))
-            sub = corr[np.ix_(idx, idx)]
-            try:
-                inv, _ = symmetric_inverse(sub)
-                exact = float(np.sum(inv))
-                even = m_ef_even(sub)
-                if labels is not None:
-                    sector = m_ef_sector(sub, SectorPartition.from_labels(labels[idx]))
-                else:
-                    sector = float("nan")
-            except (NearSingularError, DomainError):
-                skipped += 1
-                continue
-            exact_acc.append(exact)
-            sector_acc.append(sector)
-            even_acc.append(even)
+        blocks = []
+        for first in range(0, spec.draws, STACK_SIZE):
+            idx = np.array([
+                np.sort(rng.choice(universe, size=size, replace=False))
+                for _ in range(min(STACK_SIZE, spec.draws - first))
+            ])
+            blocks.append(_evaluate_subsets(corr, idx, codes))
+        exact, even, sector = np.concatenate(blocks, axis=1)
+        keep = ~(np.isnan(exact) | np.isnan(even))
+        if codes is not None:
+            keep &= ~np.isnan(sector)
         points.append(
             SubsetCurvePoint(
                 size=size,
-                m_exact=float(np.mean(exact_acc)) if exact_acc else float("nan"),
-                m_sector=float(np.mean(sector_acc)) if sector_acc else float("nan"),
-                m_even=float(np.mean(even_acc)) if even_acc else float("nan"),
-                skipped=skipped,
+                m_exact=float(np.mean(exact[keep])) if keep.any() else float("nan"),
+                m_sector=float(np.mean(sector[keep])) if keep.any() else float("nan"),
+                m_even=float(np.mean(even[keep])) if keep.any() else float("nan"),
+                skipped=int(np.count_nonzero(~keep)),
             )
         )
     return points

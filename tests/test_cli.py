@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -170,7 +174,7 @@ class TestSubsetCurve:
 
 class TestSliding:
     def test_table(self, small_panel_path, capsys):
-        code, stdout, _ = run(
+        code, stdout, stderr = run(
             ["sliding", "--prices", str(small_panel_path), "--window", "100",
              "--step", "50"], capsys
         )
@@ -179,6 +183,25 @@ class TestSliding:
         assert header == ["date", "m_ef", "annual_return"]
         assert len(rows) == (301 - 100) // 50 + 1
         assert all(np.isfinite(float(r[1])) for r in rows)
+        assert stderr == ""
+
+    def test_near_singular_windows_reported(self, tmp_path, capsys):
+        rng = np.random.default_rng(41)
+        returns = 0.01 * rng.standard_normal((300, 4))
+        # the twin copies asset A for the first 150 days: windows inside them
+        # are singular
+        twin = np.where(np.arange(300) < 150, returns[:, 0], 0.01 * rng.standard_normal(300))
+        path = tmp_path / "twin.csv"
+        write_prices_csv(
+            panel_from_returns(np.column_stack([returns, twin]), assets=list("ABCDT")), path
+        )
+        code, stdout, stderr = run(
+            ["sliding", "--prices", str(path), "--window", "100", "--step", "50"], capsys
+        )
+        assert code == 0
+        _, rows = parse_table(stdout)
+        assert [r[1] == "nan" for r in rows] == [True, True, False, False, False]
+        assert "2 near-singular windows out of 5" in stderr
 
     def test_window_too_short_exit_1(self, small_panel_path, capsys):
         code, _, _ = run(
@@ -328,3 +351,14 @@ class TestParserBehavior:
             cli.main(["subset-curve", "--sizes", "3"])
         assert exc.value.code == 1
         capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # start-up cost: every fresh CLI process pays for what effport.cli imports
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import effport.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ from effport.corrmat import (
     block_diagonal,
     correlation_values,
     estimate_matrix,
+    inverse_stack,
     invert,
     pearson,
     symmetric_inverse,
@@ -182,13 +183,15 @@ class TestInvert:
         inv = invert(c)
         assert np.max(np.abs(c.values @ inv.values - np.eye(12))) <= 1e-8
 
-    def test_indefinite_matrix_uses_lu_fallback(self):
-        # strongly negative uniform correlation is indefinite but invertible
-        a = np.full((4, 4), -0.3)
+    def test_indefinite_matrix_inverts(self):
+        # uniform -0.4 has eigenvalues 1.4 (three times) and -0.2: indefinite
+        # but invertible, so it must invert rather than be refused
+        a = np.full((4, 4), -0.4)
         np.fill_diagonal(a, 1.0)
+        assert np.linalg.eigvalsh(a)[0] < 0.0
         inv, rcond = symmetric_inverse(a)
         assert np.allclose(a @ inv, np.eye(4), atol=1e-10)
-        assert rcond > 1e-3
+        assert rcond == pytest.approx(0.2 / 1.4, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_double_inversion_roundtrip(self, seed, random_correlation):
@@ -199,10 +202,43 @@ class TestInvert:
         back, _ = symmetric_inverse(inv)
         assert np.max(np.abs(back - c)) < 1e-6
 
+    def test_rejects_non_square(self):
+        with pytest.raises(InputShapeError):
+            symmetric_inverse(np.ones((2, 3)))
+
     def test_inverse_type_checks_residual(self):
         c = uniform_matrix(3, 0.2)
         with pytest.raises(NearSingularError):
             InverseCorrelationMatrix(values=np.eye(3) * 5.0, source=c, reciprocal_condition=1.0)
+
+
+class TestInverseStack:
+    def test_refused_matrix_does_not_abort_stack(self, random_correlation):
+        rng = np.random.default_rng(5)
+        good = random_correlation(rng, 4)
+        stack = np.array([good, np.ones((4, 4)), np.zeros((4, 4)), good])
+        out = inverse_stack(stack)
+        assert out.usable.tolist() == [True, False, False, True]
+        assert out.rcond[1] < 1e-12 and out.rcond[2] == 0.0
+        assert np.all(np.isnan(out.values[1:3]))
+        inv, rcond = symmetric_inverse(good)
+        assert np.array_equal(out.values[0], inv) and np.array_equal(out.values[3], inv)
+        assert out.rcond[0] == rcond
+
+    def test_residual_failure_is_refused(self):
+        # above the rcond floor, yet too ill-conditioned for the 1e-8 residual
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+        a = (q * [1.0, 0.5, 1e-10]) @ q.T
+        a = 0.5 * (a + a.T)
+        out = inverse_stack(a[None])
+        assert out.rcond[0] >= 1e-12
+        assert not out.usable[0] and out.residual[0] > 1e-8
+        with pytest.raises(NearSingularError, match="residual"):
+            symmetric_inverse(a)
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(InputShapeError):
+            inverse_stack(np.eye(3))
 
 
 class TestUniformClosedForm:

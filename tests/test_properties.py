@@ -44,7 +44,8 @@ def test_law_matches_table(m, p, c):
 def test_law_is_normalized(m, p, c):
     probs = win_count_law(BinaryModelParams(m, p, c)).probs
     assert np.all(probs >= 0.0)
-    # gammaln's cancellation costs about M * eps * log(M) at the largest M
+    # log C(M,k) = log M! - log k! - log (M-k)! (each from math.lgamma) loses
+    # about M * eps * log(M) to cancellation at the largest M
     assert abs(float(probs.sum()) - 1.0) <= 1e-11
 
 
