@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Regenerate the bundled synthetic sample data under data/.
 
+Usage: ``python scripts/make_sample_data.py [OUT_DIR]`` (default: the
+repository's ``data/``).
+
 The panel mimics a small stock universe with a sector structure: four
 sectors of ten assets, intra-sector correlations between 0.12 and 0.45 on
 top of a weak market-wide factor. Prices follow compounded daily returns.
 Deterministic: rerunning writes identical files.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +31,9 @@ DAILY_VOL = 0.012
 DAILY_DRIFT = 0.0003
 
 
-def main() -> None:
-    out_dir = Path(__file__).resolve().parent.parent / "data"
+def main(argv: list[str] | None = None) -> None:
+    argv = sys.argv[1:] if argv is None else argv
+    out_dir = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "data"
     out_dir.mkdir(exist_ok=True)
     rng = np.random.default_rng(SEED)
 

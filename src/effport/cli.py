@@ -113,15 +113,8 @@ def _read_corr_file(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatr
     return assets, corrmat.CorrelationMatrix(np.asarray(rows))
 
 
-def _load_partition(sector_path: str, assets: Sequence[str]) -> effsize.SectorPartition:
-    sectors = marketdata.load_sectors(sector_path)
-    missing = [a for a in assets if a not in sectors]
-    if missing:
-        raise InputShapeError(f"sector file misses assets: {', '.join(missing)}")
-    return effsize.SectorPartition({i: sectors[a] for i, a in enumerate(assets)})
-
-
-def _corr_from_prices(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatrix]:
+def _load_panel(path: str) -> marketdata.PricePanel:
+    """Load a price panel, reporting any assets dropped for missing quotes."""
     panel = marketdata.load_prices(path)
     if panel.dropped_assets:
         print(
@@ -129,6 +122,11 @@ def _corr_from_prices(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMa
             + ", ".join(panel.dropped_assets),
             file=sys.stderr,
         )
+    return panel
+
+
+def _corr_from_prices(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatrix]:
+    panel = _load_panel(path)
     return panel.assets, corrmat.estimate_matrix(marketdata.compute_returns(panel))
 
 
@@ -158,7 +156,11 @@ def _cmd_effsize(args) -> int:
         assets, corr = _corr_from_prices(args.prices)
     else:
         assets, corr = _read_corr_file(args.corr)
-    partition = _load_partition(args.sectors, assets) if args.sectors else None
+    partition = (
+        marketdata.partition_for_assets(assets, marketdata.load_sectors(args.sectors))
+        if args.sectors
+        else None
+    )
     report = effsize.effsize_report(corr, partition=partition)
     row = [
         str(report.m),
@@ -176,13 +178,12 @@ def _cmd_subset_curve(args) -> int:
     _require(len(sizes) >= 1, "--sizes must list at least one portfolio size")
     _require(all(s >= 2 for s in sizes), "every portfolio size must be >= 2")
     _require(args.draws >= 1, "--draws must be >= 1")
-    panel = marketdata.load_prices(args.prices)
-    if panel.dropped_assets:
-        print(
-            f"dropped {len(panel.dropped_assets)} asset(s) with missing quotes",
-            file=sys.stderr,
-        )
-    partition = _load_partition(args.sectors, panel.assets) if args.sectors else None
+    panel = _load_panel(args.prices)
+    partition = (
+        marketdata.partition_for_assets(panel.assets, marketdata.load_sectors(args.sectors))
+        if args.sectors
+        else None
+    )
     spec = marketdata.SubsetCurveSpec(sizes=tuple(sizes), draws=args.draws, seed=args.seed)
     points = marketdata.subset_curve(panel, spec, partition)
     total_skipped = sum(pt.skipped for pt in points)
@@ -205,7 +206,7 @@ def _cmd_sliding(args) -> int:
         window = marketdata.WindowSpec(length=args.window, step=args.step)
     except DomainError as exc:
         raise _UsageError(str(exc)) from None
-    panel = marketdata.load_prices(args.prices)
+    panel = _load_panel(args.prices)
     points = marketdata.sliding_window_effsize(panel, window)
     nan_windows = sum(np.isnan(pt.m_ef) for pt in points)
     if nan_windows:
@@ -262,17 +263,12 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_variance_ratio(args) -> int:
-    index_panel = marketdata.load_prices(args.index)
+    index_panel = _load_panel(args.index)
     if index_panel.n_assets != 1:
         raise DataError(
             f"index file must hold exactly one asset column, found {index_panel.n_assets}"
         )
-    panel = marketdata.load_prices(args.constituents)
-    if panel.dropped_assets:
-        print(
-            f"dropped {len(panel.dropped_assets)} asset(s) with missing quotes",
-            file=sys.stderr,
-        )
+    panel = _load_panel(args.constituents)
     if index_panel.dates != panel.dates:
         raise DataError("index and constituent files cover different dates")
     index_returns = marketdata.compute_returns(index_panel)[0]

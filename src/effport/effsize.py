@@ -20,8 +20,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corrmat import InverseCorrelationMatrix, _series_values, inverse_stack, symmetric_inverse
-from .errors import DomainError, InputShapeError
+from .corrmat import (
+    RCOND_FLOOR,
+    InverseCorrelationMatrix,
+    _series_values,
+    inverse_stack,
+    symmetric_inverse,
+)
+from .errors import DomainError, InputShapeError, NearSingularError
 
 
 def _matrix_values(c) -> np.ndarray:
@@ -280,10 +286,18 @@ def effsize_report(
 
     The uniform closed form is filled in only when all off-diagonal entries
     coincide; the sector estimate needs a partition; the variance ratio needs
-    an index series plus its constituents.
+    an index series plus its constituents. Raises NearSingularError for an
+    indefinite matrix (smallest eigenvalue below -RCOND_FLOOR times the
+    largest), which is no correlation matrix of any return series.
     """
     a = _matrix_values(c)
     m = a.shape[0]
+    eigs = np.linalg.eigvalsh(a)
+    if eigs[0] < -RCOND_FLOOR * eigs[-1]:
+        raise NearSingularError(
+            f"matrix is indefinite: smallest eigenvalue lambda_min = {eigs[0]:.6g} "
+            f"(largest {eigs[-1]:.6g}); not a correlation matrix of real returns"
+        )
     inv, _ = symmetric_inverse(a)
     exact = float(np.sum(inv))
     even = m_ef_even(a) if m >= 2 else float(m)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -141,64 +142,116 @@ def load_prices(source) -> PricePanel:
     ``dropped_assets``; syntax problems (including dates not in
     ``YYYY-MM-DD`` form and ``nan``/``inf`` prices) raise ParseError with the
     line number, nonpositive prices raise DataError.
-    """
-    fh, owns = _open_text(source)
-    try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "date":
-            raise ParseError("header must start with a 'date' column", line=1)
-        assets = header[1:]
-        if not assets:
-            raise ParseError("header lists no asset columns", line=1)
-        if len(set(assets)) != len(assets):
-            raise ParseError("duplicate asset names in header", line=1)
 
-        dates: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+    A regular file (no quotes, carriage returns, blank lines or missing
+    quotes) is converted in one block; anything else goes through the
+    row-by-row reader, which alone judges irregular input and builds every
+    error, so both routes accept exactly the same files.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "r", newline="") as fh:
+            text = fh.read()
+    return _load_block(text) or _load_rows(io.StringIO(text, newline=""))
+
+
+def _header_assets(header: list[str]) -> list[str]:
+    header = [h.strip() for h in header]
+    if not header or header[0] != "date":
+        raise ParseError("header must start with a 'date' column", line=1)
+    assets = header[1:]
+    if not assets:
+        raise ParseError("header lists no asset columns", line=1)
+    if len(set(assets)) != len(assets):
+        raise ParseError("duplicate asset names in header", line=1)
+    return assets
+
+
+def _load_block(text: str) -> PricePanel | None:
+    """The whole numeric block in one ``np.loadtxt`` call, or None.
+
+    Returns None for every input the row reader must judge: quotes, carriage
+    returns, a field-count mismatch, a date field that is not a valid
+    ``YYYY-MM-DD`` token, an empty or unconvertible cell (loadtxt raises),
+    and nonfinite or nonpositive prices.
+    """
+    if not text or '"' in text or "\r" in text:
+        return None
+    head, _, body = text.partition("\n")
+    assets = _header_assets(head.split(","))
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    m = len(assets)
+    if not lines or body.count(",") != len(lines) * m:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():  # the row reader refuses such fields
+        return None
+    dates = [line[:10] for line in lines]
+    try:
+        for line, date in zip(lines, dates):
+            if line[10:11] != "," or date[4] != "-" or date[7] != "-":
+                return None
+            datetime.date.fromisoformat(date)
+        # comments=None: with the default "#", the cell "2.0#c" would read as 2.0
+        prices = np.loadtxt(
+            lines, delimiter=",", usecols=range(1, m + 1), dtype=float, ndmin=2, comments=None
+        )
+    except ValueError:
+        return None
+    if not (np.isfinite(prices).all() and (prices > 0.0).all()):
+        return None
+    return PricePanel(dates=tuple(dates), assets=tuple(assets), prices=prices)
+
+
+def _load_rows(fh) -> PricePanel:
+    """Row-by-row reader: handles missing quotes and builds every load error."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file") from None
+    assets = _header_assets(header)
+
+    dates: list[str] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(assets) + 1:
+            raise ParseError(
+                f"expected {len(assets) + 1} fields, found {len(row)}", line=lineno
+            )
+        token = row[0].strip()
+        try:
+            # fromisoformat alone also takes 20080103 on Python >= 3.11
+            if len(token) != 10 or token[4] != "-" or token[7] != "-":
+                raise ValueError
+            datetime.date.fromisoformat(token)
+        except ValueError:
+            raise ParseError(
+                f"invalid date {token!r}, expected YYYY-MM-DD", line=lineno
+            ) from None
+        values = []
+        for name, cell in zip(assets, row[1:]):
+            cell = cell.strip()
+            if cell == "":
+                values.append(np.nan)
                 continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, found {len(row)}", line=lineno
-                )
-            token = row[0].strip()
             try:
-                # fromisoformat alone also takes 20080103 on Python >= 3.11
-                if len(token) != 10 or token[4] != "-" or token[7] != "-":
+                price = float(cell)
+                if not math.isfinite(price):
                     raise ValueError
-                datetime.date.fromisoformat(token)
             except ValueError:
                 raise ParseError(
-                    f"invalid date {token!r}, expected YYYY-MM-DD", line=lineno
+                    f"unparseable price {cell!r} for {name}", line=lineno
                 ) from None
-            values = []
-            for name, cell in zip(assets, row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    values.append(np.nan)
-                    continue
-                try:
-                    price = float(cell)
-                    if not math.isfinite(price):
-                        raise ValueError
-                except ValueError:
-                    raise ParseError(
-                        f"unparseable price {cell!r} for {name}", line=lineno
-                    ) from None
-                if price <= 0.0:
-                    raise DataError(f"line {lineno}: nonpositive price {cell} for {name}")
-                values.append(price)
-            dates.append(token)
-            rows.append(values)
-    finally:
-        if owns:
-            fh.close()
+            if price <= 0.0:
+                raise DataError(f"line {lineno}: nonpositive price {cell} for {name}")
+            values.append(price)
+        dates.append(token)
+        rows.append(values)
 
     if not rows:
         raise ParseError("file holds no data rows")
@@ -352,12 +405,12 @@ def load_sectors(source) -> dict[str, str]:
     return mapping
 
 
-def partition_for_panel(panel: PricePanel, sectors: dict[str, str]) -> SectorPartition:
-    """Restrict an asset->sector map to a panel's assets, by panel index."""
-    missing = [a for a in panel.assets if a not in sectors]
+def partition_for_assets(assets: Sequence[str], sectors: dict[str, str]) -> SectorPartition:
+    """Restrict an asset->sector map to an ordered asset list, by list index."""
+    missing = [a for a in assets if a not in sectors]
     if missing:
         raise InputShapeError(f"sector file misses assets: {', '.join(missing)}")
-    return SectorPartition({i: sectors[a] for i, a in enumerate(panel.assets)})
+    return SectorPartition({i: sectors[a] for i, a in enumerate(assets)})
 
 
 def fmt_float(x: float) -> str:
@@ -399,11 +452,14 @@ def panel_from_returns(
 
 def write_prices_csv(panel: PricePanel, dest) -> None:
     """Write a panel in the loader's CSV format with 10-significant-digit prices."""
+    # "%.10g" % x is fmt_float(x), character for character
+    row = "%s," + ",".join(["%.10g"] * panel.n_assets) + "\n"
     fh, owns = (dest, False) if hasattr(dest, "write") else (open(dest, "w", newline="\n"), True)
     try:
         fh.write("date," + ",".join(panel.assets) + "\n")
-        for i, date in enumerate(panel.dates):
-            fh.write(date + "," + ",".join(fmt_float(v) for v in panel.prices[i]) + "\n")
+        fh.writelines(
+            row % (date, *values) for date, values in zip(panel.dates, panel.prices.tolist())
+        )
     finally:
         if owns:
             fh.close()

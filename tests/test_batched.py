@@ -26,7 +26,7 @@ from effport.marketdata import (
     WindowSpec,
     load_prices,
     load_sectors,
-    partition_for_panel,
+    partition_for_assets,
     sliding_window_effsize,
     subset_curve,
 )
@@ -102,7 +102,8 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 @pytest.fixture(scope="module")
 def bundled():
     panel = load_prices(DATA_DIR / "synthetic_prices.csv")
-    return panel, partition_for_panel(panel, load_sectors(DATA_DIR / "synthetic_sectors.csv"))
+    sectors = load_sectors(DATA_DIR / "synthetic_sectors.csv")
+    return panel, partition_for_assets(panel.assets, sectors)
 
 
 def early_twin(panel):

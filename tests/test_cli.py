@@ -135,6 +135,15 @@ class TestEffsize:
         assert code == 3
         assert "numerical error" in err
 
+    def test_indefinite_matrix_exit_3(self, tmp_path, capsys):
+        # eigenvalues -0.8, 1.9, 1.9: no return series has this correlation
+        corr = tmp_path / "corr.tsv"
+        write_corr_file(corr, np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]]))
+        code, stdout, err = run(["effsize", "--corr", str(corr)], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert "lambda_min = -0.8 " in err
+
 
 class TestSubsetCurve:
     def test_table_shape_and_determinism(self, tmp_path, sample_prices_path,
@@ -337,6 +346,37 @@ class TestVarianceRatio:
             ["variance-ratio", "--index", str(other), "--constituents", str(cons)], capsys
         )
         assert code == 2
+
+
+class TestDroppedAssets:
+    COMMANDS = {
+        "estimate-corr": ["estimate-corr", "{prices}"],
+        "effsize": ["effsize", "--prices", "{prices}"],
+        "subset-curve": ["subset-curve", "--prices", "{prices}", "--sizes", "2,3", "--draws", "20"],
+        "sliding": ["sliding", "--prices", "{prices}", "--window", "100", "--step", "50"],
+        "variance-ratio": ["variance-ratio", "--index", "{index}", "--constituents", "{prices}"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_report_and_unchanged_stdout(self, command, tmp_path, small_panel_path, capsys):
+        rows = [ln.split(",") for ln in small_panel_path.read_text().splitlines()]
+        gapped, without = [list(r) for r in rows], [r[:3] + r[4:] for r in rows]
+        gapped[5][3] = ""  # one missing quote for asset C
+        index = [["date", "IDX"]] + [r[:2] for r in rows[1:]]
+        paths = {}
+        for name, table in (("gapped", gapped), ("without", without), ("index", index)):
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("\n".join(",".join(r) for r in table) + "\n")
+
+        def cli_run(prices):
+            argv = [a.format(prices=paths[prices], index=paths["index"])
+                    for a in self.COMMANDS[command]]
+            return run(argv, capsys)
+
+        code, stdout, err = cli_run("gapped")
+        assert code == 0
+        assert err.count("dropped 1 asset(s) with missing quotes: C\n") == 1
+        assert stdout == cli_run("without")[1]
 
 
 class TestParserBehavior:

@@ -259,11 +259,11 @@ class TestReport:
 def test_estimate_ordering_on_bundled_panel(sample_prices_path, sample_sectors_path):
     # On this sample universe the cheap estimates undershoot the exact value;
     # observed ordering for this dataset, not a general theorem.
-    from effport.marketdata import compute_returns, load_prices, load_sectors, partition_for_panel
+    from effport.marketdata import compute_returns, load_prices, load_sectors, partition_for_assets
 
     panel = load_prices(sample_prices_path)
     corr = estimate_matrix(compute_returns(panel))
-    part = partition_for_panel(panel, load_sectors(sample_sectors_path))
+    part = partition_for_assets(panel.assets, load_sectors(sample_sectors_path))
     exact = m_ef_exact(invert(corr))
     sector = m_ef_sector(corr, part)
     even = m_ef_even(corr)

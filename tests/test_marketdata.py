@@ -1,8 +1,11 @@
 import io
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from effport import marketdata
 from effport.effsize import SectorPartition
 from effport.errors import DataError, DomainError, InputShapeError, ParseError
 from effport.marketdata import (
@@ -14,7 +17,7 @@ from effport.marketdata import (
     load_prices,
     load_sectors,
     panel_from_returns,
-    partition_for_panel,
+    partition_for_assets,
     sliding_window_effsize,
     subset_curve,
     write_prices_csv,
@@ -111,6 +114,33 @@ class TestLoadPrices:
         p = tmp_path / "prices.csv"
         p.write_text(GOOD_CSV)
         assert load_prices(p).prices.shape == (3, 2)
+
+    def test_comment_character_is_unparseable(self):
+        text = "date,AAA\n2020-01-02,100\n2020-01-03,2.0#c\n"
+        with pytest.raises(ParseError) as exc:
+            load_from_text(text)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_carriage_return_line_ends(self, tmp_path, newline):
+        text = GOOD_CSV.replace("\n", newline)
+        p = tmp_path / "prices.csv"
+        p.write_bytes(text.encode())
+        for source in (p, io.StringIO(text, newline="")):
+            panel = load_prices(source)
+            assert panel.dates == ("2020-01-02", "2020-01-03", "2020-01-06")
+            np.testing.assert_array_equal(panel.prices, [[100, 50], [110, 49], [121, 51]])
+
+    def test_regular_file_skips_row_reader(self, monkeypatch, sample_prices_path):
+        expected = load_prices(sample_prices_path)
+
+        def refuse(fh):
+            raise AssertionError("a regular file reached the row reader")
+
+        monkeypatch.setattr(marketdata, "_load_rows", refuse)
+        panel = load_prices(sample_prices_path)
+        assert panel.dates == expected.dates and panel.assets == expected.assets
+        np.testing.assert_array_equal(panel.prices, expected.prices)
 
 
 class TestComputeReturns:
@@ -269,17 +299,17 @@ class TestSectors:
         mapping = load_sectors(f)
         assert mapping == {"AAA": "tech", "BBB": "energy"}
         panel = load_from_text(GOOD_CSV)
-        part = partition_for_panel(panel, mapping)
+        part = partition_for_assets(panel.assets, mapping)
         assert part.assignment == {0: "tech", 1: "energy"}
 
     def test_missing_asset(self):
         panel = load_from_text(GOOD_CSV)
         with pytest.raises(InputShapeError):
-            partition_for_panel(panel, {"AAA": "tech"})
+            partition_for_assets(panel.assets, {"AAA": "tech"})
 
     def test_extra_assets_tolerated(self):
         panel = load_from_text(GOOD_CSV)
-        part = partition_for_panel(panel, {"AAA": "x", "BBB": "y", "ZZZ": "z"})
+        part = partition_for_assets(panel.assets, {"AAA": "x", "BBB": "y", "ZZZ": "z"})
         assert part.n == 2
 
     def test_bad_header(self):
@@ -308,6 +338,26 @@ class TestPanelRoundTrip:
         panel = panel_from_returns(returns, scale=0.01)
         assert np.all(panel.prices > 0)
 
+    def test_writer_renders_with_fmt_float(self):
+        values = [[1234.5678949, 5.0], [1e-7, 123456789012.0], [0.1 + 0.2, 2.5e300]]
+        panel = PricePanel(dates=("2020-01-02", "2020-01-03", "2020-01-06"),
+                           assets=("X", "Y"), prices=np.array(values))
+        out = io.StringIO()
+        write_prices_csv(panel, out)
+        expected = ["date,X,Y"] + [
+            date + "," + ",".join(fmt_float(v) for v in row)
+            for date, row in zip(panel.dates, values)
+        ]
+        assert out.getvalue() == "\n".join(expected) + "\n"
+
+    def test_sample_data_regenerates_byte_identical(self, tmp_path):
+        # guards the writer's byte contract on the bundled data
+        root = Path(__file__).resolve().parent.parent
+        script = runpy.run_path(str(root / "scripts" / "make_sample_data.py"))
+        script["main"]([str(tmp_path)])
+        for name in ("synthetic_prices.csv", "synthetic_sectors.csv"):
+            assert (tmp_path / name).read_bytes() == (root / "data" / name).read_bytes()
+
     def test_fmt_float(self):
         assert fmt_float(float("nan")) == "nan"
         assert fmt_float(5.0) == "5"
@@ -320,4 +370,4 @@ class TestPanelRoundTrip:
         assert panel.n_assets == 40
         assert panel.n_dates == 757
         sectors = load_sectors(sample_sectors_path)
-        assert partition_for_panel(panel, sectors).n == 4
+        assert partition_for_assets(panel.assets, sectors).n == 4
