@@ -146,14 +146,20 @@ def load_prices(source) -> PricePanel:
     A regular file (no quotes, carriage returns, blank lines or missing
     quotes) is converted in one block; anything else goes through the
     row-by-row reader, which alone judges irregular input and builds every
-    error, so both routes accept exactly the same files.
+    error, so both routes accept exactly the same files. A path the row
+    reader must judge is read again as a stream rather than from the text
+    already in memory, which keeps such loads at the row reader's own speed
+    and memory.
     """
     if hasattr(source, "read"):
         text = source.read()
-    else:
-        with open(source, "r", newline="") as fh:
-            text = fh.read()
-    return _load_block(text) or _load_rows(io.StringIO(text, newline=""))
+        return _load_block(text) or _load_rows(io.StringIO(text, newline=""))
+    with open(source, "r", newline="") as fh:
+        panel = _load_block(fh.read())
+        if panel is None:
+            fh.seek(0)
+            panel = _load_rows(fh)
+    return panel
 
 
 def _header_assets(header: list[str]) -> list[str]:
@@ -172,21 +178,28 @@ def _load_block(text: str) -> PricePanel | None:
     """The whole numeric block in one ``np.loadtxt`` call, or None.
 
     Returns None for every input the row reader must judge: quotes, carriage
-    returns, a field-count mismatch, a date field that is not a valid
-    ``YYYY-MM-DD`` token, an empty or unconvertible cell (loadtxt raises),
-    and nonfinite or nonpositive prices.
+    returns, an empty cell, a line longer than the csv field-size limit, a
+    field-count mismatch, a date field that is not a valid ``YYYY-MM-DD``
+    token, an unconvertible cell (loadtxt raises), and nonfinite or
+    nonpositive prices.
     """
     if not text or '"' in text or "\r" in text:
         return None
     head, _, body = text.partition("\n")
-    assets = _header_assets(head.split(","))
+    # an empty cell (a missing quote) skips the date and loadtxt work at once
+    if ",," in body:
+        return None
     lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()
-    m = len(assets)
-    if not lines or body.count(",") != len(lines) * m:
+    if not lines or any(line[-1:] == "," for line in lines):
         return None
-    if max(map(len, lines)) > csv.field_size_limit():  # the row reader refuses such fields
+    # the row reader refuses fields longer than this, header fields included
+    if max(len(head), *map(len, lines)) > csv.field_size_limit():
+        return None
+    assets = _header_assets(head.split(","))
+    m = len(assets)
+    if body.count(",") != len(lines) * m:
         return None
     dates = [line[:10] for line in lines]
     try:

@@ -115,12 +115,6 @@ class TestLoadPrices:
         p.write_text(GOOD_CSV)
         assert load_prices(p).prices.shape == (3, 2)
 
-    def test_comment_character_is_unparseable(self):
-        text = "date,AAA\n2020-01-02,100\n2020-01-03,2.0#c\n"
-        with pytest.raises(ParseError) as exc:
-            load_from_text(text)
-        assert exc.value.line == 3
-
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_carriage_return_line_ends(self, tmp_path, newline):
         text = GOOD_CSV.replace("\n", newline)

@@ -164,6 +164,10 @@ def load_outcome(load, text):
 @example(text="date,A0\n2020-01-021,1\n")
 @example(text="date,A0\n2020-02-30,1\n")
 @example(text="date,A0\n2020-01-01,1." + "0" * 131072 + "\n")
+@example(text="date," + "A" * 131073 + "\n2020-01-01,1\n")
+@example(text="date,A0,A1\n2020-01-01,1,2\n2020-01-02,3,\n")
+@example(text="date,A0,A1\n2020-01-01,1,2\n2020-01-02,3,")
+@example(text="date,A0,A1\n2020-01-01,,2\n")
 def test_load_prices_matches_row_reader(text):
     fast = load_outcome(lambda s: marketdata.load_prices(io.StringIO(s)), text)
     rows = load_outcome(lambda s: marketdata._load_rows(io.StringIO(s, newline="")), text)
