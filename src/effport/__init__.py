@@ -21,9 +21,10 @@ from .corrmat import (
     SummaryStats,
     block_diagonal,
     estimate_matrix,
-    inverse_stack,
     invert,
     pearson,
+    solve_ones,
+    solve_ones_stack,
     symmetric_inverse,
     uniform_inverse_closed_form,
     uniform_matrix,

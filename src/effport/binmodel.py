@@ -102,19 +102,6 @@ class JointBinaryDistribution:
         out.flags.writeable = False
         return out
 
-    @cached_property
-    def sum_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distribution of the summed return over all assets.
-
-        Returns (sums, probabilities) with sums = 2k - M for k winning assets;
-        an exact regrouping of the full table, which :func:`win_count_law`
-        gives directly.
-        """
-        k = ((self.outcomes + 1) // 2).sum(axis=1)
-        probs = np.bincount(k, weights=self.probabilities, minlength=self.m + 1)
-        sums = 2.0 * np.arange(self.m + 1) - self.m
-        return sums, probs
-
 
 @dataclass(frozen=True, eq=False)
 class WinCountLaw:

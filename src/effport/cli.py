@@ -9,7 +9,6 @@ error, 2 data error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from typing import Iterable, Sequence
 
@@ -84,7 +83,7 @@ def _matrix_rows(assets: Sequence[str], values: np.ndarray):
 def _read_corr_file(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatrix]:
     """Read a correlation matrix in the estimate-corr output format."""
     with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
+        reader = marketdata.csv_rows(fh, delimiter="\t")
         try:
             header = next(reader)
         except StopIteration:

@@ -1,4 +1,4 @@
-"""Correlation matrices: construction, estimation from returns, and inversion.
+"""Correlation matrices: construction, estimation from returns, and solves.
 
 All averages use the population (divide-by-T) convention. The normalization
 cancels inside the correlation quotient for equal-length series, so the choice
@@ -7,10 +7,16 @@ only matters for reported variances; fixing it keeps results bit-reproducible.
 A series with exactly zero variance is treated as risk-free and gets
 correlation 0 with everything instead of raising.
 
-Inversion runs on whole stacks of matrices (:func:`inverse_stack`): one
-batched eigenvalue call gives each matrix's 2-norm reciprocal condition, one
-batched LU inverse follows, and a residual check accepts or refuses each
-inverse on its own. :func:`symmetric_inverse` is the one-matrix case.
+The effective size 1'C^-1 1 is solved for whole stacks of matrices at once
+(:func:`solve_ones_stack`) from one batched Cholesky factor C = L L' as
+||L^-1 1||^2; no inverse is formed. Indefinite input has no factor and is
+refused on every path. A matrix is also refused when the residual of
+C x = 1 exceeds INVERSE_RESIDUAL_TOL, or when its reciprocal condition,
+estimated in the 2-norm by power and inverse iteration, is below
+RCOND_FLOOR; that estimate is never below the true value and was within a
+factor 3.4 of it on every matrix measured (see README, "Conventions").
+:func:`solve_ones` is the one-matrix case, and :func:`symmetric_inverse`
+builds a full inverse from its factor.
 """
 
 from __future__ import annotations
@@ -27,8 +33,11 @@ from .errors import DomainError, InputShapeError, NearSingularError
 #: numerically meaningless and inversion is refused.
 RCOND_FLOOR = 1e-12
 
-#: Max-norm tolerance on C @ inv(C) - I for a usable inverse.
+#: Max-norm tolerance on the residual C x - 1 of the solve against ones.
 INVERSE_RESIDUAL_TOL = 1e-8
+
+#: Power steps behind the largest-eigenvalue estimate of the condition check.
+POWER_STEPS = 4
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -216,68 +225,139 @@ def estimate_matrix(panel: Sequence) -> CorrelationMatrix:
     return CorrelationMatrix(correlation_values(np.column_stack(columns)))
 
 
-class InverseStack(NamedTuple):
-    """Inverses of a (k, n, n) stack with their per-matrix diagnostics.
+class OnesSolution(NamedTuple):
+    """Outcome of solving C x = 1 for a (k, n, n) stack, per matrix.
 
-    ``values`` holds NaN for every refused matrix; ``usable`` marks the
-    matrices whose inverse passed both the condition and the residual check.
+    ``m_ef`` (1'C^-1 1) is NaN where ``usable`` is False. ``factor`` holds the
+    lower Cholesky factors, the identity where the factorisation failed;
+    there ``rcond`` is 0 and ``residual`` NaN.
     """
 
-    values: np.ndarray
+    m_ef: np.ndarray
+    factor: np.ndarray
     rcond: np.ndarray
     residual: np.ndarray
     usable: np.ndarray
 
 
-def inverse_stack(a: np.ndarray) -> InverseStack:
-    """Invert every symmetric matrix of a (k, n, n) stack in one pass.
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack and the mask of members that have one.
 
-    The reciprocal condition is the 2-norm value |eig|min / |eig|max; a
-    matrix below RCOND_FLOOR is refused and replaced by the identity before
-    the batched inverse, so it cannot abort the rest of the stack. Indefinite
-    matrices invert like any other (LU with partial pivoting). Each inverse
-    is symmetrized and refused when max|C @ inv - I| exceeds
+    ``np.linalg.cholesky`` raises for the whole stack on one failure; only
+    then is each member factored alone, a failed one getting the identity.
+    """
+    try:
+        return np.linalg.cholesky(a), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.eye(a.shape[1])[None], np.zeros(1, dtype=bool)
+    factors, factored = zip(*(_cholesky(matrix[None]) for matrix in a))
+    return np.concatenate(factors), np.concatenate(factored)
+
+
+def _forward(factor: np.ndarray) -> np.ndarray:
+    """Solve L y = b by rows for every factor L of a (k, n, n) stack.
+
+    Returns (k, 2, n): y for b the ones vector, and for the start of the
+    LINPACK condition estimator (Higham, ch. 15), whose +-1 entries are
+    chosen row by row to make |y| grow. The loop runs over the n rows, each
+    step vectorised over the stack.
+    """
+    b = np.ones(factor.shape[:1] + (2,) + factor.shape[-1:])
+    y = np.empty_like(b)
+    for j in range(factor.shape[-1]):
+        s = (y[:, :, :j] @ factor[:, j, :j, None])[..., 0]
+        b[:, 1, j] = -np.copysign(1.0, s[:, 1])
+        y[:, :, j] = (b[:, :, j] - s) / factor[:, None, j, j]
+    return y
+
+
+def _backward(factor: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve L' x = y by columns for every factor L of a stack; y is (k, 2, n)."""
+    x = y.copy()
+    for j in range(factor.shape[-1] - 1, -1, -1):
+        x[:, :, j] /= factor[:, None, j, j]
+        x[:, :, :j] -= factor[:, None, j, :j] * x[:, :, j, None]
+    return x
+
+
+def _largest_eigenvalue(factor: np.ndarray) -> np.ndarray:
+    """Rayleigh quotient of L L' after POWER_STEPS power steps from the ones
+    vector, and at least the largest diagonal entry."""
+    v = np.ones(factor.shape[:-1])
+    for _ in range(POWER_STEPS):
+        v = (factor @ (v[:, None, :] @ factor).swapaxes(1, 2))[..., 0]
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    w = (v[:, None, :] @ factor)[:, 0]
+    diagonal = np.einsum("kij,kij->ki", factor, factor).max(axis=1)
+    return np.maximum((w * w).sum(axis=1), diagonal)
+
+
+def solve_ones_stack(a: np.ndarray) -> OnesSolution:
+    """Solve C x = 1 for every symmetric matrix of a (k, n, n) stack at once.
+
+    One batched Cholesky factorisation C = L L' gives y = L^-1 1, the entry
+    sum of the inverse m_ef = y.y, and x = L'^-1 y. A matrix is refused when
+    it has no factor (it is not positive definite), when its estimated
+    reciprocal condition is below RCOND_FLOOR, or when max|C x - 1| exceeds
     INVERSE_RESIDUAL_TOL.
+
+    The estimate is lambda_min / lambda_max. lambda_max comes from
+    :func:`_largest_eigenvalue`, 1 / lambda_min from one step of inverse
+    iteration: the solves that give x also run on the LINPACK start of
+    :func:`_forward`. Neither eigenvalue estimate can pass the true value,
+    so the rcond estimate is never below it. No (k, n, n) array besides the
+    input and its factor is formed.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
         raise InputShapeError(f"need a (k, n, n) stack of square matrices, got shape {a.shape}")
-    eye = np.eye(a.shape[1])
-    eigs = np.abs(np.linalg.eigvalsh(a))
-    largest = eigs.max(axis=1)
-    # an all-zero matrix has condition 0 rather than 0/0
-    rcond = eigs.min(axis=1) / np.where(largest == 0.0, np.inf, largest)
-    conditioned = rcond >= RCOND_FLOOR
-    inv = np.linalg.inv(np.where(conditioned[:, None, None], a, eye))
-    inv = 0.5 * (inv + np.swapaxes(inv, 1, 2))
-    residual = np.max(np.abs(a @ inv - eye), axis=(1, 2))
-    usable = conditioned & (residual <= INVERSE_RESIDUAL_TOL)
-    inv[~usable] = np.nan
-    return InverseStack(values=inv, rcond=rcond, residual=residual, usable=usable)
+    factor, factored = _cholesky(a)
+    y = _forward(factor)
+    x = _backward(factor, y)
+    residual = np.abs(a @ x[:, 0, :, None] - 1.0).max(axis=(1, 2))
+    residual[~factored] = np.nan
+    # |C^-1 u|^2 / u'C^-1 u, for u the ones vector and the LINPACK start,
+    # is a weighted mean of the 1 / lambda_i and so at most 1 / lambda_min
+    inverse_norm = ((x * x).sum(axis=2) / (y * y).sum(axis=2)).max(axis=1)
+    rcond = np.where(factored, 1.0 / (inverse_norm * _largest_eigenvalue(factor)), 0.0)
+    usable = (rcond >= RCOND_FLOOR) & (residual <= INVERSE_RESIDUAL_TOL)
+    m_ef = np.where(usable, (y[:, 0] ** 2).sum(axis=1), np.nan)
+    return OnesSolution(m_ef=m_ef, factor=factor, rcond=rcond, residual=residual, usable=usable)
 
 
-def symmetric_inverse(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Invert one symmetric matrix; return (inverse, reciprocal condition).
+def solve_ones(a: np.ndarray) -> OnesSolution:
+    """:func:`solve_ones_stack` for one matrix, returned as a stack of one.
 
-    The one-matrix case of :func:`inverse_stack`. Raises NearSingularError
-    when the reciprocal condition number falls below RCOND_FLOOR or the
-    inverse fails the residual check.
+    Raises NearSingularError naming the cause of a refusal; a matrix that is
+    not positive definite is named by its extreme eigenvalues.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputShapeError(f"matrix must be square, got shape {a.shape}")
-    out = inverse_stack(a[None])
-    rcond = float(out.rcond[0])
-    if not rcond >= RCOND_FLOOR:
+    out = solve_ones_stack(a[None])
+    if np.isnan(out.residual[0]):
+        eigs = np.linalg.eigvalsh(a)
         raise NearSingularError(
-            f"reciprocal condition {rcond:.3e} below {RCOND_FLOOR:.0e} "
-            "(redundant or duplicated assets?)"
+            f"matrix is not positive definite: lambda_min = {eigs[0]:.6g} (largest "
+            f"{eigs[-1]:.6g}); duplicated assets, or no correlation matrix of real returns"
         )
     if not out.usable[0]:
         raise NearSingularError(
-            f"inverse residual {out.residual[0]:.3e} exceeds {INVERSE_RESIDUAL_TOL:.0e}"
+            f"reciprocal condition {out.rcond[0]:.3e} (floor {RCOND_FLOOR:.0e}), residual "
+            f"max|Cx - 1| = {out.residual[0]:.3e} (tolerance {INVERSE_RESIDUAL_TOL:.0e}); "
+            "redundant or duplicated assets?"
         )
-    return out.values[0], rcond
+    return out
+
+
+def symmetric_inverse(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Invert one symmetric positive definite matrix; return (inverse, rcond).
+
+    Refuses the matrix as :func:`solve_ones` does, then builds the inverse
+    (L^-1)' L^-1 from its Cholesky factor.
+    """
+    out = solve_ones(a)
+    linv = np.linalg.inv(out.factor[0])
+    return linv.T @ linv, float(out.rcond[0])
 
 
 def invert(corr: CorrelationMatrix) -> InverseCorrelationMatrix:

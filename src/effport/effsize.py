@@ -20,14 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corrmat import (
-    RCOND_FLOOR,
-    InverseCorrelationMatrix,
-    _series_values,
-    inverse_stack,
-    symmetric_inverse,
-)
-from .errors import DomainError, InputShapeError, NearSingularError
+from .corrmat import InverseCorrelationMatrix, _series_values, solve_ones, solve_ones_stack
+from .errors import DomainError, InputShapeError
 
 
 def _matrix_values(c) -> np.ndarray:
@@ -136,9 +130,9 @@ def m_ef_uniform(m: int, c: float) -> float:
 def m_ef_exact_stack(a: np.ndarray) -> np.ndarray:
     """Exact effective size of every matrix in a (k, M, M) stack.
 
-    NaN where :func:`~effport.corrmat.inverse_stack` refuses the matrix.
+    NaN where :func:`~effport.corrmat.solve_ones_stack` refuses the matrix.
     """
-    return inverse_stack(a).values.sum(axis=(1, 2))
+    return solve_ones_stack(a).m_ef
 
 
 def _even_terms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,9 +215,7 @@ def reduce_to_sectors(c, partition: SectorPartition) -> ReducedSectorMatrix:
 
 def m_ef_sector(c, partition: SectorPartition) -> float:
     """Sector-reduced effective size: entry sum of the inverse reduced matrix."""
-    reduced = reduce_to_sectors(c, partition)
-    inv, _ = symmetric_inverse(reduced.values)
-    return float(np.sum(inv))
+    return float(solve_ones(reduce_to_sectors(c, partition).values).m_ef[0])
 
 
 def m_ef_sector_stack(a: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -286,20 +278,13 @@ def effsize_report(
 
     The uniform closed form is filled in only when all off-diagonal entries
     coincide; the sector estimate needs a partition; the variance ratio needs
-    an index series plus its constituents. Raises NearSingularError for an
-    indefinite matrix (smallest eigenvalue below -RCOND_FLOOR times the
-    largest), which is no correlation matrix of any return series.
+    an index series plus its constituents. Raises NearSingularError when
+    :func:`~effport.corrmat.solve_ones` refuses the matrix, naming
+    lambda_min for one that is not positive definite.
     """
     a = _matrix_values(c)
     m = a.shape[0]
-    eigs = np.linalg.eigvalsh(a)
-    if eigs[0] < -RCOND_FLOOR * eigs[-1]:
-        raise NearSingularError(
-            f"matrix is indefinite: smallest eigenvalue lambda_min = {eigs[0]:.6g} "
-            f"(largest {eigs[-1]:.6g}); not a correlation matrix of real returns"
-        )
-    inv, _ = symmetric_inverse(a)
-    exact = float(np.sum(inv))
+    exact = float(solve_ones(a).m_ef[0])
     even = m_ef_even(a) if m >= 2 else float(m)
 
     uniform = None

@@ -135,6 +135,16 @@ def _open_text(source):
     return open(source, "r", newline=""), True
 
 
+def csv_rows(fh, delimiter: str = ","):
+    """Rows of ``csv.reader``; a csv.Error (such as a field longer than
+    ``csv.field_size_limit()``) becomes a ParseError naming the line."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def load_prices(source) -> PricePanel:
     """Load and validate a price panel from a CSV path or file object.
 
@@ -220,7 +230,7 @@ def _load_block(text: str) -> PricePanel | None:
 
 def _load_rows(fh) -> PricePanel:
     """Row-by-row reader: handles missing quotes and builds every load error."""
-    reader = csv.reader(fh)
+    reader = csv_rows(fh)
     try:
         header = next(reader)
     except StopIteration:
@@ -391,7 +401,7 @@ def load_sectors(source) -> dict[str, str]:
     """Load an asset-to-sector map from a two-column CSV with header."""
     fh, owns = _open_text(source)
     try:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:

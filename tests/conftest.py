@@ -18,6 +18,14 @@ def make_random_correlation(rng, m, factors=None):
     return corr
 
 
+def table_sum_support(dist):
+    """(sums, probabilities) of the summed return 2k - M over k winning assets,
+    regrouped from a full outcome table of ``build_joint``."""
+    k = ((dist.outcomes + 1) // 2).sum(axis=1)
+    probs = np.bincount(k, weights=dist.probabilities, minlength=dist.m + 1)
+    return 2.0 * np.arange(dist.m + 1) - dist.m, probs
+
+
 @pytest.fixture
 def random_correlation():
     return make_random_correlation

@@ -2,8 +2,8 @@
 
 ``subset_curve`` and ``sliding_window_effsize`` evaluate whole stacks of
 matrices at once. The loops below evaluate one matrix per iteration through
-the scalar API, as the pipelines did before they were batched; the results
-must agree exactly, NaN included.
+the scalar API (a stack of one in the Cholesky core); the results must agree
+exactly, NaN included.
 """
 
 import math
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effport.corrmat import correlation_values, inverse_stack, symmetric_inverse
+from effport.corrmat import correlation_values, solve_ones, solve_ones_stack
 from effport.effsize import SectorPartition, m_ef_even, m_ef_sector
 from effport.errors import DomainError, NearSingularError
 from effport.marketdata import (
@@ -47,8 +47,7 @@ def loop_subset_curve(panel, spec, partition=None):
             idx = np.sort(rng.choice(panel.n_assets, size=size, replace=False))
             sub = corr[np.ix_(idx, idx)]
             try:
-                inv, _ = symmetric_inverse(sub)
-                exact = float(np.sum(inv))
+                exact = float(solve_ones(sub).m_ef[0])
                 even = m_ef_even(sub)
                 if labels is not None:
                     sector = m_ef_sector(sub, SectorPartition.from_labels(labels[idx]))
@@ -79,8 +78,7 @@ def loop_sliding(panel, window, trading_days_per_year=252):
         start = k * window.step
         chunk = returns[start : start + window.length - 1]
         try:
-            inv, _ = symmetric_inverse(correlation_values(chunk))
-            m_ef = float(np.sum(inv))
+            m_ef = float(solve_ones(correlation_values(chunk)).m_ef[0])
         except NearSingularError:
             m_ef = float("nan")
         annual = trading_days_per_year * float(chunk.mean())
@@ -199,12 +197,31 @@ def test_stack_core_matches_one_matrix_bitwise(k, n, seed, twin):
     if twin and n >= 2:
         a[-1, :, 1] = a[-1, :, 0]
         a[-1, 1, :] = a[-1, 0, :]
-    out = inverse_stack(a)
+    out = solve_ones_stack(a)
     for i in range(k):
         try:
-            inv, rcond = symmetric_inverse(a[i])
+            one = solve_ones(a[i])
         except NearSingularError:
-            assert not out.usable[i] and np.all(np.isnan(out.values[i]))
+            assert not out.usable[i] and np.isnan(out.m_ef[i])
             continue
-        assert out.usable[i] and out.rcond[i] == rcond
-        assert np.array_equal(out.values[i], inv)
+        assert out.usable[i] and out.rcond[i] == one.rcond[0]
+        assert out.m_ef[i] == one.m_ef[0] and out.residual[i] == one.residual[0]
+        assert np.array_equal(out.factor[i], one.factor[0])
+
+
+def test_stacked_pipelines_form_no_inverse(bundled, monkeypatch):
+    # the stacked path refuses and solves from Cholesky factors alone
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the stacked path must not call eigvalsh or inv")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    panel, partition = bundled
+    twin = early_twin(panel)
+    labels = dict(partition.assignment)
+    labels[twin.n_assets - 1] = labels[0]
+    spec = SubsetCurveSpec(sizes=(2, 20, 41), draws=40, seed=5)
+    assert subset_curve(twin, spec, SectorPartition(labels))[2].skipped == 0
+    nan = [math.isnan(pt.m_ef) for pt in sliding_window_effsize(twin, WindowSpec(252, 5))]
+    assert any(nan) and not all(nan)
+

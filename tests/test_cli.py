@@ -68,6 +68,14 @@ class TestEstimateCorr:
         assert code == 2
         assert "line 3" in err
 
+    def test_oversized_price_field_exits_2(self, tmp_path, capsys):
+        # longer than csv.field_size_limit(): the row reader's csv.Error
+        bad = tmp_path / "bad.csv"
+        bad.write_text("date,A\n2020-01-02,100\n2020-01-03,1." + "0" * 131072 + "\n")
+        code, _, err = run(["estimate-corr", str(bad)], capsys)
+        assert code == 2
+        assert "line 3" in err and "field larger than field limit" in err
+
     def test_input_file_not_mutated(self, tmp_path, small_panel_path, capsys):
         before = small_panel_path.read_bytes()
         run(["estimate-corr", str(small_panel_path), "--out", str(tmp_path / "o.tsv")], capsys)
@@ -127,6 +135,22 @@ class TestEffsize:
             ["effsize", "--prices", str(small_panel_path), "--corr", "x.tsv"], capsys
         )
         assert code == 1
+
+    def test_oversized_corr_field_exits_2(self, tmp_path, capsys):
+        corr = tmp_path / "corr.tsv"
+        corr.write_text("asset\tA\tB\nA\t1\t0\nB\t0\t1." + "0" * 131072 + "\n")
+        code, _, err = run(["effsize", "--corr", str(corr)], capsys)
+        assert code == 2
+        assert "line 3" in err and "field larger than field limit" in err
+
+    def test_oversized_sector_field_exits_2(self, tmp_path, small_panel_path, capsys):
+        sect = tmp_path / "sectors.csv"
+        sect.write_text("asset,sector\nA,s0\nB," + "s" * 131073 + "\n")
+        code, _, err = run(
+            ["effsize", "--prices", str(small_panel_path), "--sectors", str(sect)], capsys
+        )
+        assert code == 2
+        assert "line 3" in err and "field larger than field limit" in err
 
     def test_duplicated_assets_exit_3(self, tmp_path, capsys):
         corr = tmp_path / "corr.tsv"

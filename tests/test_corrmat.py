@@ -5,18 +5,20 @@ from effport import binmodel
 from effport.corrmat import (
     CorrelationMatrix,
     InverseCorrelationMatrix,
+    RCOND_FLOOR,
     ReturnSeries,
     SummaryStats,
     block_diagonal,
     correlation_values,
     estimate_matrix,
-    inverse_stack,
     invert,
     pearson,
+    solve_ones_stack,
     symmetric_inverse,
     uniform_inverse_closed_form,
     uniform_matrix,
 )
+from effport.effsize import m_ef_exact_stack
 from effport.errors import DomainError, InputShapeError, NearSingularError
 
 
@@ -183,15 +185,16 @@ class TestInvert:
         inv = invert(c)
         assert np.max(np.abs(c.values @ inv.values - np.eye(12))) <= 1e-8
 
-    def test_indefinite_matrix_inverts(self):
-        # uniform -0.4 has eigenvalues 1.4 (three times) and -0.2: indefinite
-        # but invertible, so it must invert rather than be refused
+    def test_indefinite_matrix_refused(self):
+        # uniform -0.4 has eigenvalues 1.4 (three times) and -0.2: invertible,
+        # but no correlation matrix of real returns, so every path refuses it
         a = np.full((4, 4), -0.4)
         np.fill_diagonal(a, 1.0)
-        assert np.linalg.eigvalsh(a)[0] < 0.0
-        inv, rcond = symmetric_inverse(a)
-        assert np.allclose(a @ inv, np.eye(4), atol=1e-10)
-        assert rcond == pytest.approx(0.2 / 1.4, rel=1e-12)
+        with pytest.raises(NearSingularError, match="lambda_min = -0.2 "):
+            symmetric_inverse(a)
+        out = solve_ones_stack(a[None])
+        assert not out.usable[0] and np.isnan(out.m_ef[0]) and out.rcond[0] == 0.0
+        assert np.isnan(m_ef_exact_stack(a[None])[0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_double_inversion_roundtrip(self, seed, random_correlation):
@@ -212,33 +215,88 @@ class TestInvert:
             InverseCorrelationMatrix(values=np.eye(3) * 5.0, source=c, reciprocal_condition=1.0)
 
 
+def near_duplicate_pair(n, rcond):
+    """Identity with assets 0 and 1 correlated so that lambda_min/lambda_max = rcond.
+
+    The pair has eigenvalues 1 - a and 1 + a, the rest 1; the ones vector is
+    orthogonal to the small eigenvector. Returns the matrix and the true
+    reciprocal condition of the stored (rounded) a.
+    """
+    a = np.eye(n)
+    a[0, 1] = a[1, 0] = (1.0 - rcond) / (1.0 + rcond)
+    return a, (1.0 - a[0, 1]) / (1.0 + a[0, 1])
+
+
 class TestInverseStack:
     def test_refused_matrix_does_not_abort_stack(self, random_correlation):
         rng = np.random.default_rng(5)
         good = random_correlation(rng, 4)
         stack = np.array([good, np.ones((4, 4)), np.zeros((4, 4)), good])
-        out = inverse_stack(stack)
+        out = solve_ones_stack(stack)
         assert out.usable.tolist() == [True, False, False, True]
-        assert out.rcond[1] < 1e-12 and out.rcond[2] == 0.0
-        assert np.all(np.isnan(out.values[1:3]))
+        assert out.rcond[1] == 0.0 and out.rcond[2] == 0.0
+        assert np.all(np.isnan(out.m_ef[1:3])) and np.all(np.isnan(out.residual[1:3]))
+        one = solve_ones_stack(good[None])
+        assert out.m_ef[0] == out.m_ef[3] == one.m_ef[0]
+        assert out.rcond[0] == one.rcond[0]
         inv, rcond = symmetric_inverse(good)
-        assert np.array_equal(out.values[0], inv) and np.array_equal(out.values[3], inv)
-        assert out.rcond[0] == rcond
+        assert rcond == one.rcond[0]
+        assert out.m_ef[0] == pytest.approx(inv.sum(), rel=1e-13)
 
     def test_residual_failure_is_refused(self):
-        # above the rcond floor, yet too ill-conditioned for the 1e-8 residual
+        # above the rcond floor, yet too ill-conditioned for the 1e-8 residual:
+        # the ones vector has a component along the 1e-10 eigenvector
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
         a = (q * [1.0, 0.5, 1e-10]) @ q.T
         a = 0.5 * (a + a.T)
-        out = inverse_stack(a[None])
+        out = solve_ones_stack(a[None])
         assert out.rcond[0] >= 1e-12
         assert not out.usable[0] and out.residual[0] > 1e-8
         with pytest.raises(NearSingularError, match="residual"):
             symmetric_inverse(a)
 
+    @pytest.mark.parametrize("ratio, usable", [(0.5, False), (2.0, True)])
+    def test_rcond_floor_decides(self, ratio, usable):
+        a, true_rcond = near_duplicate_pair(5, ratio * RCOND_FLOOR)
+        out = solve_ones_stack(a[None])
+        assert out.rcond[0] == pytest.approx(true_rcond, rel=1e-3)
+        assert out.residual[0] <= 1e-8
+        assert out.usable[0] == usable
+        if usable:
+            assert out.m_ef[0] == pytest.approx(3.0 + 2.0 / (1.0 + a[0, 1]), rel=1e-12)
+            assert symmetric_inverse(a)[1] == out.rcond[0]
+        else:
+            assert np.isnan(out.m_ef[0])
+            with pytest.raises(NearSingularError, match="reciprocal condition"):
+                symmetric_inverse(a)
+
+    def test_rcond_at_the_floor_is_estimated_closely(self):
+        # at exactly the floor the outcome rests on the estimate, which must
+        # be near the true value and not below it (both eigenvalue estimates
+        # are Rayleigh quotients; four power steps leave lambda_max 0.3% low)
+        a, true_rcond = near_duplicate_pair(5, RCOND_FLOOR)
+        out = solve_ones_stack(a[None])
+        assert true_rcond * (1.0 - 1e-4) <= out.rcond[0] <= true_rcond * 1.01
+        assert out.usable[0] == (out.rcond[0] >= RCOND_FLOOR)
+
+    def test_near_duplicate_asset_refused(self, random_correlation):
+        rng = np.random.default_rng(8)
+        returns = rng.standard_normal((300, 6)) @ np.linalg.cholesky(
+            random_correlation(rng, 6)
+        ).T
+        twin = returns[:, 2] + 1e-8 * rng.standard_normal(300)
+        corr = correlation_values(np.column_stack([returns, twin]))
+        assert corr[2, 6] > 1.0 - 1e-14
+        assert solve_ones_stack(corr[:6, :6][None]).usable[0]
+        out = solve_ones_stack(corr[None])
+        assert not out.usable[0] and out.rcond[0] < RCOND_FLOOR
+        assert np.isnan(m_ef_exact_stack(corr[None])[0])
+        with pytest.raises(NearSingularError):
+            symmetric_inverse(corr)
+
     def test_rejects_non_stack(self):
         with pytest.raises(InputShapeError):
-            inverse_stack(np.eye(3))
+            solve_ones_stack(np.eye(3))
 
 
 class TestUniformClosedForm:

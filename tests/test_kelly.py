@@ -24,6 +24,8 @@ from effport.kelly import (
     uncorrelated_total_curve,
 )
 
+from conftest import table_sum_support
+
 
 class TestBinaryFraction:
     @pytest.mark.parametrize("p,expected", [(0.5, 0.0), (0.75, 0.5), (0.3, 0.0), (1.0, 1.0)])
@@ -161,7 +163,7 @@ class TestSymmetricMaximization:
         # brute-force scan of the one-variable objective on the enumerated
         # table's regrouping, independent of the closed-form law
         params = BinaryModelParams(8, 0.62, 0.4)
-        sums, probs = build_joint(params).sum_support
+        sums, probs = table_sum_support(build_joint(params))
         res = maximize_growth_symmetric(win_count_law(params))
         grid = np.linspace(0.0, (1 - 1e-9) / 8, 20001)
         values = (probs[None, :] * np.log1p(np.outer(grid, sums))).sum(axis=1)

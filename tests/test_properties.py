@@ -3,25 +3,32 @@
 The enumerated 2^M outcome table (``build_joint``) is the oracle for the
 closed-form (M+1)-point law (``win_count_law``) of the exchangeable win/lose
 model and for the growth solve on it. The row-by-row CSV reader is the oracle
-for ``load_prices``, whose regular files take a one-block path.
+for ``load_prices``, whose regular files take a one-block path. The entry sum
+of ``np.linalg.inv`` is the oracle for the Cholesky solve against ones.
 """
 
 import datetime
 import io
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from effport import marketdata
 from effport.binmodel import BinaryModelParams, WinCountLaw, build_joint, win_count_law
+from effport.corrmat import CorrelationMatrix, block_diagonal, solve_ones_stack, symmetric_inverse
+from effport.effsize import effsize_report, m_ef_exact_stack
+from effport.errors import NearSingularError
 from effport.kelly import (
     FEASIBILITY_EPS,
     MAX_SYMMETRIC_ASSETS,
     m_ef_kelly_numeric,
     maximize_growth_symmetric,
 )
+
+from conftest import make_random_correlation, table_sum_support
 
 probabilities = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 correlations = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -30,7 +37,7 @@ winning_edges = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
 
 def table_law(params):
     """The law regrouped from the full outcome table."""
-    return WinCountLaw(params.m, *build_joint(params).sum_support)
+    return WinCountLaw(params.m, *table_sum_support(build_joint(params)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -82,6 +89,62 @@ def test_first_order_optimality_at_500_assets(p, c):
         # weak correlation: the optimum sits on the feasibility bound
         assert slope >= 0.0
     assert 1.0 <= m_ef_kelly_numeric(m, p, c) <= m
+
+
+# ------------------------------------------------------- solve against ones
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_correlation(seed, m):
+    """Well-conditioned factor-model correlation matrix with 1..m factors."""
+    rng = np.random.default_rng(seed)
+    return make_random_correlation(rng, m, int(rng.integers(1, m + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 60), seed=seeds)
+@example(m=1, seed=0)
+@example(m=60, seed=1)
+def test_m_ef_matches_inverse_entry_sum(m, seed):
+    c = random_correlation(seed, m)
+    out = solve_ones_stack(c[None])
+    assert out.usable[0]
+    assert out.m_ef[0] == pytest.approx(np.linalg.inv(c).sum(), rel=1e-10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(2, 40), seed=seeds, perm_seed=seeds)
+def test_m_ef_permutation_invariant(m, seed, perm_seed):
+    c = random_correlation(seed, m)
+    perm = np.random.default_rng(perm_seed).permutation(m)
+    both = m_ef_exact_stack(np.array([c, c[np.ix_(perm, perm)]]))
+    assert both[1] == pytest.approx(both[0], rel=1e-10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4), seed=seeds)
+def test_m_ef_block_additive(sizes, seed):
+    blocks = [CorrelationMatrix(random_correlation(seed + i, m)) for i, m in enumerate(sizes)]
+    whole = m_ef_exact_stack(block_diagonal(blocks).values[None])[0]
+    parts = sum(m_ef_exact_stack(b.values[None])[0] for b in blocks)
+    assert whole == pytest.approx(parts, rel=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(3, 60), scale=st.floats(0.2, 1.0), seed=seeds)
+@example(m=3, scale=0.9, seed=0)
+def test_indefinite_matrix_refused(m, scale, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-scale, scale, size=(m, m))
+    a = np.triu(a, 1) + np.triu(a, 1).T + np.eye(m)
+    assume(np.linalg.eigvalsh(a)[0] < 0.0)
+    out = solve_ones_stack(a[None])
+    assert not out.usable[0] and np.isnan(out.m_ef[0])
+    with pytest.raises(NearSingularError, match="lambda_min"):
+        symmetric_inverse(a)
+    with pytest.raises(NearSingularError, match="lambda_min"):
+        effsize_report(a)
 
 
 # ---------------------------------------------------------------- price CSV
