@@ -199,10 +199,12 @@ def correlation_values(returns: np.ndarray) -> np.ndarray:
     if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 1:
         raise InputShapeError(f"need a (T>=2, M>=1) return matrix, got shape {r.shape}")
     z = r - r.mean(axis=0)
-    sd = np.sqrt(np.mean(z * z, axis=0))
+    cross = z.T @ z
+    z *= z
+    sd = np.sqrt(np.mean(z, axis=0))
     riskfree = (np.ptp(r, axis=0) == 0.0) | (sd == 0.0)
     denom = np.where(riskfree, 1.0, sd)
-    corr = (z.T @ z) / r.shape[0] / np.outer(denom, denom)
+    corr = cross / r.shape[0] / np.outer(denom, denom)
     corr[riskfree, :] = 0.0
     corr[:, riskfree] = 0.0
     corr = np.clip(0.5 * (corr + corr.T), -1.0, 1.0)
@@ -243,9 +245,14 @@ class OnesSolution(NamedTuple):
 def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a stack and the mask of members that have one.
 
-    ``np.linalg.cholesky`` raises for the whole stack on one failure; only
-    then is each member factored alone, a failed one getting the identity.
+    A member with a non-finite entry has none. ``np.linalg.cholesky`` raises
+    for the whole stack on one failure; only then is each member factored
+    alone, a failed one getting the identity.
     """
+    finite = np.isfinite(a.min(axis=(1, 2))) & np.isfinite(a.max(axis=(1, 2)))
+    if not finite.all():
+        factor, factored = _cholesky(np.where(finite[:, None, None], a, np.eye(a.shape[1])))
+        return factor, factored & finite
     try:
         return np.linalg.cholesky(a), np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
@@ -329,12 +336,15 @@ def solve_ones_stack(a: np.ndarray) -> OnesSolution:
 def solve_ones(a: np.ndarray) -> OnesSolution:
     """:func:`solve_ones_stack` for one matrix, returned as a stack of one.
 
-    Raises NearSingularError naming the cause of a refusal; a matrix that is
-    not positive definite is named by its extreme eigenvalues.
+    Raises DomainError for a non-finite entry and NearSingularError naming
+    the cause of any other refusal; a matrix that is not positive definite is
+    named by its extreme eigenvalues.
     """
     a = np.asarray(a, dtype=float)
     out = solve_ones_stack(a[None])
     if np.isnan(out.residual[0]):
+        if not np.isfinite(a).all():
+            raise DomainError("matrix entries must be finite")
         eigs = np.linalg.eigvalsh(a)
         raise NearSingularError(
             f"matrix is not positive definite: lambda_min = {eigs[0]:.6g} (largest "

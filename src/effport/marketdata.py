@@ -154,22 +154,25 @@ def load_prices(source) -> PricePanel:
     line number, nonpositive prices raise DataError.
 
     A regular file (no quotes, carriage returns, blank lines or missing
-    quotes) is converted in one block; anything else goes through the
-    row-by-row reader, which alone judges irregular input and builds every
-    error, so both routes accept exactly the same files. A path the row
-    reader must judge is read again as a stream rather than from the text
-    already in memory, which keeps such loads at the row reader's own speed
-    and memory.
+    quotes) is read in blocks of whole lines into one ``np.loadtxt`` call,
+    holding little more than the price array. Any other file is read again
+    from its start by the row-by-row reader, which alone judges irregular
+    input and builds every error, so both routes accept the same files.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        return _load_block(text) or _load_rows(io.StringIO(text, newline=""))
-    with open(source, "r", newline="") as fh:
-        panel = _load_block(fh.read())
-        if panel is None:
-            fh.seek(0)
-            panel = _load_rows(fh)
-    return panel
+    fh, owns = _open_text(source)
+    try:
+        if not fh.seekable():
+            fh = io.StringIO(fh.read(), newline="")
+        start = fh.tell()
+        try:
+            return _load_block(fh)
+        except ValueError:
+            fh.seek(start)
+            # a file object is split into lines as an opened path is
+            return _load_rows(fh if owns else io.StringIO(fh.read(), newline=""))
+    finally:
+        if owns:
+            fh.close()
 
 
 def _header_assets(header: list[str]) -> list[str]:
@@ -184,47 +187,57 @@ def _header_assets(header: list[str]) -> list[str]:
     return assets
 
 
-def _load_block(text: str) -> PricePanel | None:
-    """The whole numeric block in one ``np.loadtxt`` call, or None.
+#: Characters the block reader takes per read, then up to the next line end.
+_BLOCK_CHARS = 1 << 18
 
-    Returns None for every input the row reader must judge: quotes, carriage
-    returns, an empty cell, a line longer than the csv field-size limit, a
-    field-count mismatch, a date field that is not a valid ``YYYY-MM-DD``
-    token, an unconvertible cell (loadtxt raises), and nonfinite or
-    nonpositive prices.
+
+class _Irregular(ValueError):
+    """Input that the block reader leaves to the row reader."""
+
+
+def _regular_lines(fh, m: int, dates: list[str]):
+    """The data lines of ``fh``, checked a block at a time; dates go to ``dates``.
+
+    Raises _Irregular at a block with quotes, carriage returns, an empty cell,
+    a field-count mismatch or a line over the csv field-size limit, at the end
+    of a file with no data line, and ValueError at an invalid date.
     """
-    if not text or '"' in text or "\r" in text:
-        return None
-    head, _, body = text.partition("\n")
-    # an empty cell (a missing quote) skips the date and loadtxt work at once
-    if ",," in body:
-        return None
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or any(line[-1:] == "," for line in lines):
-        return None
-    # the row reader refuses fields longer than this, header fields included
-    if max(len(head), *map(len, lines)) > csv.field_size_limit():
-        return None
-    assets = _header_assets(head.split(","))
-    m = len(assets)
-    if body.count(",") != len(lines) * m:
-        return None
-    dates = [line[:10] for line in lines]
-    try:
-        for line, date in zip(lines, dates):
-            if line[10:11] != "," or date[4] != "-" or date[7] != "-":
-                return None
+    while block := fh.read(_BLOCK_CHARS):
+        if block[-1] != "\n":
+            block += fh.readline()
+        lines = block.removesuffix("\n").split("\n")
+        if ('"' in block or "\r" in block or ",," in block or block.count(",") != len(lines) * m
+                or max(map(len, lines)) > csv.field_size_limit()):
+            raise _Irregular
+        for line in lines:
+            if line[10:11] != "," or line[4] != "-" or line[7] != "-" or line[-1] == ",":
+                raise _Irregular
+            date = line[:10]
             datetime.date.fromisoformat(date)
-        # comments=None: with the default "#", the cell "2.0#c" would read as 2.0
-        prices = np.loadtxt(
-            lines, delimiter=",", usecols=range(1, m + 1), dtype=float, ndmin=2, comments=None
-        )
-    except ValueError:
-        return None
+            dates.append(date)
+        yield from lines
+    # so loadtxt never parses (and warns about) an empty input
+    if not dates:
+        raise _Irregular
+
+
+def _load_block(fh) -> PricePanel:
+    """The prices of an open file through one ``np.loadtxt`` call over
+    :func:`_regular_lines`. Raises ValueError for every input the row reader
+    must judge, an unconvertible, nonfinite or nonpositive price included."""
+    head = fh.readline().removesuffix("\n")
+    # the row reader refuses fields longer than the limit, header fields included
+    if not head or '"' in head or "\r" in head or len(head) > csv.field_size_limit():
+        raise _Irregular
+    assets = _header_assets(head.split(","))
+    dates: list[str] = []
+    # comments=None: with the default "#", the cell "2.0#c" would read as 2.0
+    prices = np.loadtxt(
+        _regular_lines(fh, len(assets), dates), delimiter=",",
+        usecols=range(1, len(assets) + 1), dtype=float, ndmin=2, comments=None,
+    )
     if not (np.isfinite(prices).all() and (prices > 0.0).all()):
-        return None
+        raise _Irregular
     return PricePanel(dates=tuple(dates), assets=tuple(assets), prices=prices)
 
 
@@ -455,7 +468,8 @@ def panel_from_returns(
     magnitudes without touching their correlations. Dates are consecutive
     calendar days from ``start``.
     """
-    r = np.asarray(returns, dtype=float) * scale
+    r = np.array(returns, dtype=float)
+    r *= scale
     if r.ndim != 2:
         raise InputShapeError(f"returns must be a (T, M) matrix, got shape {r.shape}")
     t, m = r.shape
@@ -465,7 +479,10 @@ def panel_from_returns(
         raise InputShapeError(f"{len(assets)} asset names for {m} columns")
     prices = np.empty((t + 1, m))
     prices[0] = base_price
-    prices[1:] = base_price * np.cumprod(1.0 + r, axis=0)
+    # in place, and bitwise equal to base_price * np.cumprod(1.0 + r, axis=0)
+    r += 1.0
+    np.cumprod(r, axis=0, out=prices[1:])
+    prices[1:] *= base_price
     origin = start.toordinal()
     dates = tuple(
         datetime.date.fromordinal(origin + i).isoformat() for i in range(t + 1)
@@ -474,14 +491,15 @@ def panel_from_returns(
 
 
 def write_prices_csv(panel: PricePanel, dest) -> None:
-    """Write a panel in the loader's CSV format with 10-significant-digit prices."""
+    """Write a panel in the loader's CSV format with 10-significant-digit prices,
+    formatting one row at a time so that little memory is used beyond the panel."""
     # "%.10g" % x is fmt_float(x), character for character
     row = "%s," + ",".join(["%.10g"] * panel.n_assets) + "\n"
     fh, owns = (dest, False) if hasattr(dest, "write") else (open(dest, "w", newline="\n"), True)
     try:
         fh.write("date," + ",".join(panel.assets) + "\n")
         fh.writelines(
-            row % (date, *values) for date, values in zip(panel.dates, panel.prices.tolist())
+            row % (date, *values.tolist()) for date, values in zip(panel.dates, panel.prices)
         )
     finally:
         if owns:

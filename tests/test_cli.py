@@ -372,6 +372,49 @@ class TestVarianceRatio:
         assert code == 2
 
 
+class TestReturnsRefusal:
+    """estimate-corr, effsize --prices and variance-ratio refuse bad returns alike."""
+
+    ONE_ASSET = "date,IDX\n2020-01-01,1\n2020-01-02,2\n2020-01-03,3\n"
+
+    @pytest.mark.parametrize("command", [["estimate-corr"], ["effsize", "--prices"]])
+    def test_one_asset_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text(self.ONE_ASSET)
+        code, out, err = run([*command, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "need at least 2 series, got 1" in err
+
+    # 1e20 followed by 1e-5 gives a return that rounds to exactly -1; 1e-300
+    # followed by 1e300 one that overflows
+    @pytest.mark.parametrize("first, second, message", [
+        ("1e20", "1e-5", "series 'A': every return must exceed -1"),
+        ("1e-300", "1e300", "series 'A': returns must be finite"),
+    ])
+    @pytest.mark.parametrize("command", ["estimate-corr", "effsize", "variance-ratio"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bad_return_exits_2_naming_first_asset(
+        self, command, first, second, message, tmp_path, capsys
+    ):
+        prices = tmp_path / "bad.csv"
+        # Z comes first and is fine; A and B both fail, and A is named
+        prices.write_text(
+            f"date,Z,A,B\n2020-01-01,1,{first},{first}\n2020-01-02,2,{second},{second}\n"
+            "2020-01-03,3,1,1\n"
+        )
+        index = tmp_path / "index.csv"
+        index.write_text(self.ONE_ASSET)
+        argv = {
+            "estimate-corr": ["estimate-corr", str(prices)],
+            "effsize": ["effsize", "--prices", str(prices)],
+            "variance-ratio": ["variance-ratio", "--index", str(index),
+                               "--constituents", str(prices)],
+        }[command]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 class TestDroppedAssets:
     COMMANDS = {
         "estimate-corr": ["estimate-corr", "{prices}"],

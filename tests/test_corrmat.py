@@ -294,6 +294,30 @@ class TestInverseStack:
         with pytest.raises(NearSingularError):
             symmetric_inverse(corr)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_is_a_failed_factorisation(self, bad, random_correlation):
+        good = random_correlation(np.random.default_rng(6), 3)
+        both = good.copy()
+        both[0, 1] = both[1, 0] = bad
+        # np.linalg.cholesky reads only the lower triangle, so it would factor this one
+        upper = good.copy()
+        upper[0, 2] = bad
+        out = solve_ones_stack(np.array([good, both, upper]))
+        assert out.usable.tolist() == [True, False, False]
+        assert np.array_equal(out.factor[1], np.eye(3)) and np.array_equal(out.factor[2], np.eye(3))
+        assert out.rcond[1:].tolist() == [0.0, 0.0]
+        assert np.all(np.isnan(out.residual[1:])) and np.all(np.isnan(out.m_ef[1:]))
+        assert out.m_ef[0] == solve_ones_stack(good[None]).m_ef[0]
+
+    def test_non_finite_matrix_refused_before_eigvalsh(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("eigvalsh ran on a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="matrix entries must be finite"):
+                symmetric_inverse(np.array([[1.0, bad], [bad, 1.0]]))
+
     def test_rejects_non_stack(self):
         with pytest.raises(InputShapeError):
             solve_ones_stack(np.eye(3))

@@ -1,5 +1,7 @@
 import io
+import os
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,14 @@ class TestLoadPrices:
     def test_header_only(self):
         with pytest.raises(ParseError):
             load_from_text("date,AAA\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_and_one_row_raise_no_warning(self):
+        with pytest.raises(ParseError, match="no data rows"):
+            load_from_text("date,AAA\n")
+        for text in ("date,AAA\n2020-01-02,1.5\n", "date,AAA\n2020-01-02,1.5"):
+            panel = load_from_text(text)
+            assert panel.dates == ("2020-01-02",) and panel.prices.tolist() == [[1.5]]
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as exc:
@@ -115,6 +125,19 @@ class TestLoadPrices:
         p.write_text(GOOD_CSV)
         assert load_prices(p).prices.shape == (3, 2)
 
+    @pytest.mark.parametrize("text", [GOOD_CSV, GOOD_CSV.replace("49", "")])
+    def test_unseekable_file_object(self, text):
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        with open(read_end) as fh:
+            assert not fh.seekable()
+            panel = load_prices(fh)
+        expected = load_from_text(text)
+        assert (panel.dates, panel.assets, panel.dropped_assets) == (
+            expected.dates, expected.assets, expected.dropped_assets)
+        np.testing.assert_array_equal(panel.prices, expected.prices)
+
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_carriage_return_line_ends(self, tmp_path, newline):
         text = GOOD_CSV.replace("\n", newline)
@@ -135,6 +158,36 @@ class TestLoadPrices:
         panel = load_prices(sample_prices_path)
         assert panel.dates == expected.dates and panel.assets == expected.assets
         np.testing.assert_array_equal(panel.prices, expected.prices)
+
+
+class TestCsvMemory:
+    """Traced peak allocations of the CSV path on a 20 001 x 30 panel."""
+
+    @pytest.fixture(scope="class")
+    def big_panel(self, tmp_path_factory):
+        draws = np.where(np.random.default_rng(9).random((20_000, 30)) < 0.55, 1.0, -1.0)
+        panel = panel_from_returns(draws, scale=0.01)
+        path = tmp_path_factory.mktemp("panel") / "panel.csv"
+        write_prices_csv(panel, path)
+        return panel, path
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_peak_within_three_price_arrays(self, big_panel):
+        panel, peak = self.traced_peak(lambda: load_prices(big_panel[1]))
+        assert panel.prices.shape == (20_001, 30)
+        assert peak <= 3 * panel.prices.nbytes
+
+    def test_writer_allocates_under_1_mb(self, big_panel, tmp_path):
+        _, peak = self.traced_peak(lambda: write_prices_csv(big_panel[0], tmp_path / "out.csv"))
+        assert peak <= 1_000_000
 
 
 class TestComputeReturns:

@@ -3,12 +3,14 @@
 The enumerated 2^M outcome table (``build_joint``) is the oracle for the
 closed-form (M+1)-point law (``win_count_law``) of the exchangeable win/lose
 model and for the growth solve on it. The row-by-row CSV reader is the oracle
-for ``load_prices``, whose regular files take a one-block path. The entry sum
-of ``np.linalg.inv`` is the oracle for the Cholesky solve against ones.
+for ``load_prices``, whose regular files are read in blocks of lines. The
+entry sum of ``np.linalg.inv`` is the oracle for the Cholesky solve against
+ones.
 """
 
 import datetime
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,29 +214,58 @@ def load_outcome(load, text):
     return panel.dates, panel.assets, panel.prices.tobytes(), panel.dropped_assets
 
 
+ODD_FILES = [
+    "date,A0\n2020-01-01,2.0#c\n",
+    "date,A0\n2020-01-01,1_0\n2020-01-02,3\n",
+    "date,A0,A1\n2020-01-01,1,2,3\n2020-01-02,4\n",
+    "date,A0\n2020-01-01,1\n\n2020-01-02,2\n",
+    "",
+    'date,"A0"\n2020-01-01,1\n',
+    "date,A0,A1\n2020-01-01,5\r,6\n",
+    "date,A0\n2020-01-01,-0\n",
+    "date,A0\n2020-01-02,1\n2020-01-01,2\n",
+    "date,A0\n2020-W01-1,1\n",
+    "date,A0\n2020-01-021,1\n",
+    "date,A0\n2020-02-30,1\n",
+    "date,A0\n2020-01-01,1." + "0" * 131072 + "\n",
+    "date," + "A" * 131073 + "\n2020-01-01,1\n",
+    "date,A0,A1\n2020-01-01,1,2\n2020-01-02,3,\n",
+    "date,A0,A1\n2020-01-01,1,2\n2020-01-02,3,",
+    "date,A0,A1\n2020-01-01,,2\n",
+]
+
+
+def odd_file_examples(test):
+    for text in ODD_FILES:
+        test = example(text=text)(test)
+    return test
+
+
+def row_reader_outcome(text):
+    return load_outcome(lambda s: marketdata._load_rows(io.StringIO(s, newline="")), text)
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=price_csv())
-@example(text="date,A0\n2020-01-01,2.0#c\n")
-@example(text="date,A0\n2020-01-01,1_0\n2020-01-02,3\n")
-@example(text="date,A0,A1\n2020-01-01,1,2,3\n2020-01-02,4\n")
-@example(text="date,A0\n2020-01-01,1\n\n2020-01-02,2\n")
-@example(text="")
-@example(text='date,"A0"\n2020-01-01,1\n')
-@example(text="date,A0,A1\n2020-01-01,5\r,6\n")
-@example(text="date,A0\n2020-01-01,-0\n")
-@example(text="date,A0\n2020-01-02,1\n2020-01-01,2\n")
-@example(text="date,A0\n2020-W01-1,1\n")
-@example(text="date,A0\n2020-01-021,1\n")
-@example(text="date,A0\n2020-02-30,1\n")
-@example(text="date,A0\n2020-01-01,1." + "0" * 131072 + "\n")
-@example(text="date," + "A" * 131073 + "\n2020-01-01,1\n")
-@example(text="date,A0,A1\n2020-01-01,1,2\n2020-01-02,3,\n")
-@example(text="date,A0,A1\n2020-01-01,1,2\n2020-01-02,3,")
-@example(text="date,A0,A1\n2020-01-01,,2\n")
+@odd_file_examples
 def test_load_prices_matches_row_reader(text):
     fast = load_outcome(lambda s: marketdata.load_prices(io.StringIO(s)), text)
-    rows = load_outcome(lambda s: marketdata._load_rows(io.StringIO(s, newline="")), text)
-    assert fast == rows
+    assert fast == row_reader_outcome(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=price_csv())
+@odd_file_examples
+def test_load_prices_matches_row_reader_in_small_blocks(text, tmp_path_factory):
+    """Blocks of a few dozen characters: regular files span many blocks, and
+    an irregular line in a later block sends the file back to its start."""
+    path = tmp_path_factory.getbasetemp() / "small_blocks.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    rows = row_reader_outcome(text)
+    with mock.patch.object(marketdata, "_BLOCK_CHARS", 32):
+        assert load_outcome(lambda s: marketdata.load_prices(io.StringIO(s)), text) == rows
+        assert load_outcome(lambda s: marketdata.load_prices(path), text) == rows
 
 
 @settings(max_examples=100, deadline=None)
