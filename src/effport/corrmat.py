@@ -189,11 +189,11 @@ def pearson(x, y) -> float:
     return float(np.clip(cov / math.sqrt(var_a * var_b), -1.0, 1.0))
 
 
-def correlation_values(returns: np.ndarray) -> np.ndarray:
+def correlation_values(returns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise Pearson correlations of the columns of a (T, M) return matrix.
 
-    Array-in/array-out core shared by :func:`estimate_matrix` and the sliding
-    window pipeline. Zero-variance columns get correlation 0 off the diagonal.
+    Array-in/array-out core of :func:`estimate_matrix` and the sliding window
+    pipeline (which fills ``out``). Zero-variance columns get 0 off the diagonal.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 1:
@@ -207,7 +207,7 @@ def correlation_values(returns: np.ndarray) -> np.ndarray:
     corr = cross / r.shape[0] / np.outer(denom, denom)
     corr[riskfree, :] = 0.0
     corr[:, riskfree] = 0.0
-    corr = np.clip(0.5 * (corr + corr.T), -1.0, 1.0)
+    corr = np.clip(0.5 * (corr + corr.T), -1.0, 1.0, out=out)
     np.fill_diagonal(corr, 1.0)
     return corr
 
@@ -270,22 +270,27 @@ def _forward(factor: np.ndarray) -> np.ndarray:
     chosen row by row to make |y| grow. The loop runs over the n rows, each
     step vectorised over the stack.
     """
-    b = np.ones(factor.shape[:1] + (2,) + factor.shape[-1:])
-    y = np.empty_like(b)
+    y = np.empty(factor.shape[:1] + (2,) + factor.shape[-1:])
+    s, b = np.empty((2, len(factor), 2, 1))
+    neg_diagonal = -factor.diagonal(axis1=1, axis2=2)[:, None]
     for j in range(factor.shape[-1]):
-        s = (y[:, :, :j] @ factor[:, j, :j, None])[..., 0]
-        b[:, 1, j] = -np.copysign(1.0, s[:, 1])
-        y[:, :, j] = (b[:, :, j] - s) / factor[:, None, j, j]
+        # y_j = (b_j - s) / L_jj, computed with no temporaries as (s - b_j) / -L_jj
+        np.matmul(y[:, :, :j], factor[:, j, :j, None], out=s)
+        np.copysign(1.0, s, out=b)
+        b[:, 0] = -1.0
+        b += s
+        np.divide(b[..., 0], neg_diagonal[..., j], out=y[:, :, j])
     return y
 
 
 def _backward(factor: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Solve L' x = y by columns for every factor L of a stack; y is (k, 2, n)."""
-    x = y.copy()
+    # rows first and the stack last, so that each step indexes leading axes only
+    lt, x = factor.transpose(1, 2, 0), y.transpose(2, 1, 0).copy()
     for j in range(factor.shape[-1] - 1, -1, -1):
-        x[:, :, j] /= factor[:, None, j, j]
-        x[:, :, :j] -= factor[:, None, j, :j] * x[:, :, j, None]
-    return x
+        x[j] /= lt[j, j]
+        x[:j] -= lt[j, :j, None] * x[j]
+    return np.ascontiguousarray(x.transpose(2, 1, 0))
 
 
 def _largest_eigenvalue(factor: np.ndarray) -> np.ndarray:

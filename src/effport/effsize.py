@@ -232,7 +232,8 @@ def m_ef_sector_stack(a: np.ndarray, codes: np.ndarray) -> np.ndarray:
     counts = present.sum(axis=1)
     out = np.empty(codes.shape[0])
     for n in np.unique(counts):
-        rows = counts == n
+        # a view, not a copy of the stack, when every matrix has n sectors
+        rows = counts == n if (counts != n).any() else slice(None)
         weights = _sector_weights(local[rows], int(n))
         out[rows] = m_ef_exact_stack(_reduce(a[rows], weights))
     return out

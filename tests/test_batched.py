@@ -7,6 +7,7 @@ exactly, NaN included.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effport import marketdata
 from effport.corrmat import correlation_values, solve_ones, solve_ones_stack
 from effport.effsize import SectorPartition, m_ef_even, m_ef_sector
 from effport.errors import DomainError, NearSingularError
 from effport.marketdata import (
-    STACK_SIZE,
     PricePanel,
     SubsetCurvePoint,
     SubsetCurveSpec,
@@ -26,6 +27,7 @@ from effport.marketdata import (
     WindowSpec,
     load_prices,
     load_sectors,
+    panel_from_returns,
     partition_for_assets,
     sliding_window_effsize,
     subset_curve,
@@ -141,9 +143,13 @@ class TestSubsetCurveMatchesLoop:
         assert exact(subset_curve(panel, spec)) == exact(loop_subset_curve(panel, spec))
 
     def test_draws_just_above_stack_size(self, bundled):
+        # stacks of 209 and 81 matrices: each size ends on a stack of one
+        assert marketdata._stack_len(25) != marketdata._stack_len(40)
         panel, partition = bundled
-        spec = SubsetCurveSpec(sizes=(2, 8), draws=STACK_SIZE + 1, seed=4)
-        assert subset_curve(panel, spec, partition) == loop_subset_curve(panel, spec, partition)
+        for size in (25, 40):
+            spec = SubsetCurveSpec(sizes=(size,), draws=marketdata._stack_len(size) + 1, seed=4)
+            got = subset_curve(panel, spec, partition)
+            assert got == loop_subset_curve(panel, spec, partition)
 
     def test_duplicated_asset_skips_draws(self, bundled):
         panel, partition = bundled
@@ -171,7 +177,7 @@ class TestSlidingMatchesLoop:
         panel, _ = bundled
         window = WindowSpec(length=60, step=2)
         got = sliding_window_effsize(panel, window)
-        assert len(got) > STACK_SIZE
+        assert len(got) > marketdata._stack_len(panel.n_assets)
         assert got == loop_sliding(panel, window)
 
     def test_duplicated_asset_gives_nan_windows(self, bundled):
@@ -181,6 +187,49 @@ class TestSlidingMatchesLoop:
         assert exact(got) == exact(loop_sliding(panel, window))
         nan = [math.isnan(pt.m_ef) for pt in got]
         assert any(nan) and not all(nan)
+
+
+@pytest.mark.parametrize("budget", [1, 8 * 40 * 40 * 3])
+def test_output_independent_of_stack_len(bundled, budget, monkeypatch):
+    # one matrix a stack, and stacks of 3 matrices of size 40
+    panel, partition = bundled
+    spec = SubsetCurveSpec(sizes=(2, 10, 40), draws=40, seed=6)
+    window = WindowSpec(length=100, step=25)
+    want = subset_curve(panel, spec, partition), sliding_window_effsize(panel, window)
+    monkeypatch.setattr(marketdata, "_STACK_BYTES", budget)
+    assert (subset_curve(panel, spec, partition), sliding_window_effsize(panel, window)) == want
+
+
+class TestStackMemory:
+    """Only one stack of matrices is held at a time: on a 600 x 100 panel the
+    traced peak stays under 5 MB (a stack of 256 matrices alone is 20 MB)."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        returns = np.random.default_rng(12).standard_normal((599, 100))
+        panel = panel_from_returns(returns, scale=0.01)
+        partition = SectorPartition({i: f"S{i % 10}" for i in range(100)})
+        return panel, partition
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sliding(self, wide):
+        got, peak = self.traced_peak(lambda: sliding_window_effsize(wide[0], WindowSpec(60, 1)))
+        # 59 returns of 100 assets: every window is singular and refused
+        assert len(got) == 541
+        assert peak <= 5_000_000
+
+    def test_subset_curve(self, wide):
+        spec = SubsetCurveSpec(sizes=(100,), draws=300, seed=1)
+        got, peak = self.traced_peak(lambda: subset_curve(wide[0], spec, wide[1]))
+        assert got[0].skipped == 0
+        assert peak <= 5_000_000
 
 
 @settings(max_examples=60, deadline=None)

@@ -189,6 +189,29 @@ class TestCsvMemory:
         _, peak = self.traced_peak(lambda: write_prices_csv(big_panel[0], tmp_path / "out.csv"))
         assert peak <= 1_000_000
 
+    def test_load_keeps_no_second_price_array(self, big_panel):
+        panel, peak = self.traced_peak(lambda: load_prices(big_panel[1]))
+        assert peak <= 1.6 * panel.prices.nbytes
+
+    def test_panel_from_returns_keeps_no_second_price_array(self):
+        draws = np.where(np.random.default_rng(9).random((20_000, 30)) < 0.55, 1.0, -1.0)
+        panel, peak = self.traced_peak(lambda: panel_from_returns(draws, scale=0.01))
+        # the scaled returns and the prices
+        assert peak <= 2.5 * panel.prices.nbytes
+
+    def test_panel_takes_only_a_fresh_read_only_array(self):
+        dates, assets = ("2020-01-02", "2020-01-03"), ("A", "B")
+        fresh = np.array([[1.0, 2.0], [3.0, 4.0]])
+        fresh.flags.writeable = False
+        assert PricePanel(dates, assets, fresh).prices is fresh
+        fortran = np.asfortranarray(fresh)
+        fortran.flags.writeable = False
+        # writeable, a view, not C-contiguous, not float64
+        for other in (fresh.copy(), fresh[::-1], fortran, fresh.astype(np.float32)):
+            prices = PricePanel(dates, assets, other).prices
+            assert prices is not other and not prices.flags.writeable
+            np.testing.assert_array_equal(prices, other)
+
 
 class TestComputeReturns:
     def test_simple_return(self):
