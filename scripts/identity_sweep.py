@@ -21,12 +21,13 @@ The sweep covers:
 - effsize and estimate-corr on ``data/``;
 - a seeded 2521 x 100 panel and its index through estimate-corr, effsize,
   variance-ratio, subset-curve and sliding;
-- the refusals of one-asset and underflowing panels.
+- the refusals of one-asset, underflowing and overflowing panels.
 """
 
 from __future__ import annotations
 
 import contextlib
+import datetime
 import hashlib
 import io
 import os
@@ -132,6 +133,15 @@ def refusals(cli) -> None:
         run_cli(cli, f"refuse/effsize-{path}", ["effsize", "--prices", path])
     run_cli(cli, "refuse/variance-ratio-under",
             ["variance-ratio", "--index", "under_index.csv", "--constituents", "under.csv"])
+    # 40 days, enough for a 30-day window; A's first return overflows
+    days = [(datetime.date(2020, 1, 1) + datetime.timedelta(d)).isoformat() for d in range(40)]
+    cells = ["1e-300", "1e300"] + ["1", "2"] * 19
+    Path("over.csv").write_text("date,A,B\n" + "".join(
+        f"{day},{a},{k + 1}\n" for k, (day, a) in enumerate(zip(days, cells))))
+    run_cli(cli, "refuse/sliding-over",
+            ["sliding", "--prices", "over.csv", "--window", "30", "--step", "5"])
+    run_cli(cli, "refuse/subset-curve-over",
+            ["subset-curve", "--prices", "over.csv", "--sizes", "2"])
 
 
 def main(argv: list[str]) -> int:

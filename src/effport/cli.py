@@ -124,18 +124,9 @@ def _load_panel(path: str) -> marketdata.PricePanel:
     return panel
 
 
-def _returns_of(panel: marketdata.PricePanel) -> np.ndarray:
-    """The panel's (T, M) return matrix, refused as ReturnSeries refuses a column."""
-    returns = marketdata._returns_matrix(panel)
-    for name, column in zip(panel.assets, returns.T):
-        if not (np.isfinite(column).all() and (column > -1.0).all()):
-            corrmat.ReturnSeries(name, column)  # raises, naming the series and the rule
-    return returns
-
-
 def _corr_from_prices(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatrix]:
     panel = _load_panel(path)
-    returns = _returns_of(panel)
+    returns = marketdata._returns_matrix(panel)
     if panel.n_assets < 2:
         raise InputShapeError(f"need at least 2 series, got {panel.n_assets}")
     if len(returns) < 2:
@@ -284,8 +275,8 @@ def _cmd_variance_ratio(args) -> int:
     panel = _load_panel(args.constituents)
     if index_panel.dates != panel.dates:
         raise DataError("index and constituent files cover different dates")
-    index_returns = _returns_of(index_panel)[:, 0]
-    ratio = effsize.m_ef_variance_ratio(index_returns, list(_returns_of(panel).T))
+    index_returns = marketdata._returns_matrix(index_panel)[:, 0]
+    ratio = effsize.m_ef_variance_ratio(index_returns, list(marketdata._returns_matrix(panel).T))
     index_var = corrmat.SummaryStats.of(index_returns).variance
     mean_var = ratio * index_var
     row = [

@@ -175,18 +175,7 @@ def pearson(x, y) -> float:
     b = _series_values(y)
     if a.size != b.size:
         raise InputShapeError(f"length mismatch: {a.size} vs {b.size}")
-    # a constant series has zero variance even when rounding in the mean
-    # leaves the centered values slightly nonzero
-    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
-        return 0.0
-    da = a - a.mean()
-    db = b - b.mean()
-    var_a = float(np.mean(da * da))
-    var_b = float(np.mean(db * db))
-    if var_a == 0.0 or var_b == 0.0:
-        return 0.0
-    cov = float(np.mean(da * db))
-    return float(np.clip(cov / math.sqrt(var_a * var_b), -1.0, 1.0))
+    return float(correlation_values(np.column_stack([a, b]))[0, 1])
 
 
 def correlation_values(returns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -246,20 +235,23 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a stack and the mask of members that have one.
 
     A member with a non-finite entry has none. ``np.linalg.cholesky`` raises
-    for the whole stack on one failure; only then is each member factored
-    alone, a failed one getting the identity.
+    for the whole stack on one failure; only then, or when a member is not
+    finite, is each member factored alone into one preallocated stack that
+    starts as identities, so a failed member keeps the identity.
     """
-    finite = np.isfinite(a.min(axis=(1, 2))) & np.isfinite(a.max(axis=(1, 2)))
-    if not finite.all():
-        factor, factored = _cholesky(np.where(finite[:, None, None], a, np.eye(a.shape[1])))
-        return factor, factored & finite
-    try:
-        return np.linalg.cholesky(a), np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.eye(a.shape[1])[None], np.zeros(1, dtype=bool)
-    factors, factored = zip(*(_cholesky(matrix[None]) for matrix in a))
-    return np.concatenate(factors), np.concatenate(factored)
+    factored = np.isfinite(a.min(axis=(1, 2))) & np.isfinite(a.max(axis=(1, 2)))
+    if factored.all():
+        try:
+            return np.linalg.cholesky(a), factored
+        except np.linalg.LinAlgError:
+            pass
+    factor = np.tile(np.eye(a.shape[1]), (len(a), 1, 1))
+    for i in np.flatnonzero(factored):
+        try:
+            factor[i] = np.linalg.cholesky(a[i])
+        except np.linalg.LinAlgError:
+            factored[i] = False
+    return factor, factored
 
 
 def _forward(factor: np.ndarray) -> np.ndarray:
@@ -381,12 +373,17 @@ def invert(corr: CorrelationMatrix) -> InverseCorrelationMatrix:
     return InverseCorrelationMatrix(values=inv, source=corr, reciprocal_condition=rcond)
 
 
-def uniform_matrix(m: int, c: float) -> CorrelationMatrix:
-    """M x M matrix with unit diagonal and constant off-diagonal correlation c."""
+def _check_uniform(m: int, c: float) -> None:
+    """Refuse an asset count below 1 or a uniform correlation outside [0, 1]."""
     if m < 1:
         raise DomainError(f"asset count must be >= 1, got {m}")
     if not 0.0 <= c <= 1.0:
         raise DomainError(f"uniform correlation must lie in [0, 1], got {c}")
+
+
+def uniform_matrix(m: int, c: float) -> CorrelationMatrix:
+    """M x M matrix with unit diagonal and constant off-diagonal correlation c."""
+    _check_uniform(m, c)
     a = np.full((m, m), float(c))
     np.fill_diagonal(a, 1.0)
     return CorrelationMatrix(a)
@@ -398,10 +395,7 @@ def uniform_inverse_closed_form(m: int, c: float) -> InverseCorrelationMatrix:
     Diagonal entries are (1+(M-2)C)/((1-C)(1+(M-1)C)) and off-diagonal ones
     -C/((1-C)(1+(M-1)C)).
     """
-    if m < 1:
-        raise DomainError(f"asset count must be >= 1, got {m}")
-    if not 0.0 <= c <= 1.0:
-        raise DomainError(f"uniform correlation must lie in [0, 1], got {c}")
+    _check_uniform(m, c)
     if m == 1:
         # a 1x1 matrix is [[1]] for any c; the general formula divides by 1-c
         return InverseCorrelationMatrix(

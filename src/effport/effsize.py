@@ -20,7 +20,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corrmat import InverseCorrelationMatrix, _series_values, solve_ones, solve_ones_stack
+from .corrmat import (
+    InverseCorrelationMatrix, _check_uniform, _series_values, solve_ones, solve_ones_stack
+)
 from .errors import DomainError, InputShapeError
 
 
@@ -57,6 +59,16 @@ class SectorPartition:
     @property
     def n(self) -> int:
         return len(self.sectors)
+
+    def codes(self, m: int) -> np.ndarray:
+        """Sector of each asset 0..m-1 as an index into :attr:`sectors`.
+
+        Raises InputShapeError unless the partition covers exactly those assets.
+        """
+        if set(self.assignment) != set(range(m)):
+            raise InputShapeError(f"partition must cover asset indices 0..{m - 1} exactly")
+        index = {label: i for i, label in enumerate(self.sectors)}
+        return np.array([index[self.assignment[i]] for i in range(m)])
 
     @property
     def sizes(self) -> dict[str, int]:
@@ -120,10 +132,7 @@ def m_ef_uniform(m: int, c: float) -> float:
 
     Equals M at C=0, 1 at C=1, and tends to 1/C as M grows.
     """
-    if m < 1:
-        raise DomainError(f"asset count must be >= 1, got {m}")
-    if not 0.0 <= c <= 1.0:
-        raise DomainError(f"uniform correlation must lie in [0, 1], got {c}")
+    _check_uniform(m, c)
     return m / (1.0 + (m - 1) * c)
 
 
@@ -202,14 +211,8 @@ def reduce_to_sectors(c, partition: SectorPartition) -> ReducedSectorMatrix:
     cross block.
     """
     a = _matrix_values(c)
-    m = a.shape[0]
-    if set(partition.assignment.keys()) != set(range(m)):
-        raise InputShapeError(
-            f"partition must cover asset indices 0..{m - 1} exactly"
-        )
     sectors = partition.sectors
-    codes = np.array([sectors.index(partition.assignment[i]) for i in range(m)])
-    reduced = _reduce(a, _sector_weights(codes, len(sectors)))
+    reduced = _reduce(a, _sector_weights(partition.codes(a.shape[0]), len(sectors)))
     return ReducedSectorMatrix(values=reduced, sectors=sectors)
 
 

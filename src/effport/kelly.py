@@ -5,8 +5,9 @@ first-order path linearizes the optimality condition (valid while the total
 invested fraction stays small) and reuses the inverse correlation matrix.
 The numeric path maximizes the exact expected log growth, which for identical
 assets is a one-variable concave problem on the (M+1)-point law of the number
-of winning assets, solved by golden-section search on [0, (1-eps)/M]; the
-upper bound keeps wealth positive even when every asset loses at once.
+of winning assets on [0, (1-eps)/M], solved by one bracketed Newton iteration
+on dG/df; the upper bound keeps wealth positive even when every asset loses
+at once.
 
 The numeric effective size matches total invested wealth between the
 correlated portfolio and a fictitious uncorrelated one, interpolating the
@@ -15,7 +16,6 @@ uncorrelated total linearly between integer asset counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,14 +35,9 @@ from .meanvar import PortfolioWeights
 #: Safety margin keeping 1 + f * sum(R) positive at the all-losses outcome.
 FEASIBILITY_EPS = 1e-9
 
-#: Absolute bracket width at which golden-section search stops.
-BRACKET_TOL = 1e-12
-
 #: Largest asset count the symmetric solvers accept. The uncorrelated
 #: reference curve costs O(M^2): about 2 s at this size.
 MAX_SYMMETRIC_ASSETS = 2000
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -123,28 +118,6 @@ def kelly_first_order(
     return PortfolioWeights(f, clipped=clipped)
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float = BRACKET_TOL):
-    """Maximize a concave function on [lo, hi]; returns (argmax, max)."""
-    a, b = float(lo), float(hi)
-    width = b - a
-    c = b - _INV_PHI * width
-    d = a + _INV_PHI * width
-    fc, fd = fn(c), fn(d)
-    while width > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            width = b - a
-            c = b - _INV_PHI * width
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            width = b - a
-            d = a + _INV_PHI * width
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
 def maximize_growth_symmetric(law: WinCountLaw) -> GrowthResult:
     """Exact growth maximum for exchangeable assets, solved in one variable.
 
@@ -152,38 +125,42 @@ def maximize_growth_symmetric(law: WinCountLaw) -> GrowthResult:
     the common fraction f only through the summed return, whose law is
     ``law``. Abstention (f = 0) is always feasible, hence the optimal growth
     rate is never negative.
+
+    G is concave: its maximum on [0, upper] is ``upper`` if dG/df(upper) >= 0,
+    else the root of dG/df, found by Newton steps from f = 0 inside a bracket
+    that the sign of dG/df shrinks; a step leaving it becomes the midpoint
+    (``rtsafe``, Numerical Recipes). It stops at a step of at most 1e-16
+    max(1, f), or when no float lies strictly inside the bracket, which every
+    other step shrinks: it always ends.
     """
     sums, probs = law.sums, law.probs
     if float(probs @ sums) <= 0.0:
         return GrowthResult(f_star=0.0, g_star=0.0, total_fraction=0.0, method="numeric-exact")
     upper = (1.0 - FEASIBILITY_EPS) / law.m
-
-    def g(f: float) -> float:
-        return float(probs @ np.log1p(f * sums))
-
-    f_star, g_star = _golden_section_max(g, 0.0, upper)
-    # Golden section stalls at ~sqrt(eps) accuracy; a few Newton steps on
-    # dG/df restore first-order optimality to well below 1e-9.
-    for _ in range(4):
-        margins = 1.0 + f_star * sums
-        slope = float(probs @ (sums / margins))
-        curvature = -float(probs @ (sums / margins) ** 2)
-        if curvature >= 0.0:
+    lo, hi = 0.0, upper
+    # the loop is skipped when G still rises at the bound
+    f = upper if float(probs @ (sums / (1.0 + upper * sums))) >= 0.0 else 0.0
+    while f < upper:
+        ratio = sums / (1.0 + f * sums)
+        slope = float(probs @ ratio)
+        lo, hi = (f, hi) if slope > 0.0 else (lo, f)
+        nxt = min(max(f + slope / float(probs @ (ratio * ratio)), lo), hi)
+        if abs(nxt - f) <= 1e-16 * max(1.0, f):
+            f = nxt
             break
-        step = slope / curvature
-        candidate = min(max(f_star - step, 0.0), upper)
-        if abs(candidate - f_star) <= 1e-16 * max(1.0, f_star):
-            f_star = candidate
-            break
-        f_star = candidate
-    g_star = g(f_star)
+        if not lo < nxt < hi:  # the Newton point left the bracket
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        f = nxt
+    g_star = float(probs @ np.log1p(f * sums))
     if g_star <= 0.0:
         # abstention is always feasible and gives exactly zero growth
         return GrowthResult(f_star=0.0, g_star=0.0, total_fraction=0.0, method="numeric-exact")
     return GrowthResult(
-        f_star=f_star,
+        f_star=f,
         g_star=g_star,
-        total_fraction=law.m * f_star,
+        total_fraction=law.m * f,
         method="numeric-exact",
     )
 

@@ -314,11 +314,18 @@ def _load_rows(fh) -> PricePanel:
 
 
 def _returns_matrix(panel: PricePanel) -> np.ndarray:
+    """The panel's (T, M) simple returns, each column refused as ReturnSeries
+    refuses a series: DomainError naming the first asset with a bad return."""
     if panel.n_dates < 2:
         raise InputShapeError("need at least 2 dates to compute returns")
-    # an overflowing return becomes inf with no numpy warning: a caller's refusal is the message
+    # an overflowing return becomes inf with no numpy warning: the refusal is the message
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.diff(panel.prices, axis=0) / panel.prices[:-1]
+        returns = np.diff(panel.prices, axis=0) / panel.prices[:-1]
+    # column by column, so that no second (T, M) array is formed
+    for name, column in zip(panel.assets, returns.T):
+        if not (np.isfinite(column).all() and (column > -1.0).all()):
+            ReturnSeries(name, column)  # raises, naming the series and the rule
+    return returns
 
 
 def compute_returns(panel: PricePanel) -> list[ReturnSeries]:
@@ -393,14 +400,7 @@ def subset_curve(
             raise DomainError(
                 f"portfolio size {size} exceeds the {universe}-asset universe"
             )
-    codes = None
-    if partition is not None:
-        if set(partition.assignment.keys()) != set(range(universe)):
-            raise InputShapeError("partition must cover every panel asset exactly once")
-        # sector indices into the sorted labels, as SectorPartition.sectors orders them
-        labels = [partition.assignment[i] for i in range(universe)]
-        codes = np.unique(labels, return_inverse=True)[1]
-
+    codes = partition.codes(universe) if partition is not None else None
     corr = correlation_values(_returns_matrix(panel))
     rng = np.random.default_rng(spec.seed)
     points: list[SubsetCurvePoint] = []

@@ -231,6 +231,20 @@ class TestStackMemory:
         assert got[0].skipped == 0
         assert peak <= 5_000_000
 
+    def test_singular_stack(self):
+        # 60 returns of 100 assets make every correlation singular, so the
+        # batched factorisation fails and each member is factored alone
+        rng = np.random.default_rng(5)
+        singular, regular = (
+            np.array([correlation_values(rng.standard_normal((t, 100))) for _ in range(13)])
+            for t in (60, 400)
+        )
+        outs, peaks = zip(*(self.traced_peak(lambda: solve_ones_stack(a))
+                            for a in (regular, singular)))
+        assert outs[0].usable.all() and not outs[1].usable.any()
+        # measured 1.15 MB for both; a second stack of factors would be 2.1 MB
+        assert peaks[1] <= 1.3 * peaks[0]
+
 
 @settings(max_examples=60, deadline=None)
 @given(

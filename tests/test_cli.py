@@ -1,3 +1,4 @@
+import datetime
 import subprocess
 import sys
 from pathlib import Path
@@ -373,7 +374,7 @@ class TestVarianceRatio:
 
 
 class TestReturnsRefusal:
-    """estimate-corr, effsize --prices and variance-ratio refuse bad returns alike."""
+    """Every command that reads returns from prices refuses bad returns alike."""
 
     ONE_ASSET = "date,IDX\n2020-01-01,1\n2020-01-02,2\n2020-01-03,3\n"
 
@@ -391,25 +392,32 @@ class TestReturnsRefusal:
         ("1e20", "1e-5", "series 'A': every return must exceed -1"),
         ("1e-300", "1e300", "series 'A': returns must be finite"),
     ])
-    @pytest.mark.parametrize("command", ["estimate-corr", "effsize", "variance-ratio"])
+    @pytest.mark.parametrize(
+        "command", ["estimate-corr", "effsize", "variance-ratio", "subset-curve", "sliding"]
+    )
     # the refusal is the only thing on stderr: a numpy warning would fail the test
     @pytest.mark.filterwarnings("error")
     def test_bad_return_exits_2_naming_first_asset(
         self, command, first, second, message, tmp_path, capsys
     ):
+        # 40 days, enough for a 30-day window; Z comes first and is fine, A
+        # and B both fail at their first return, and A is named
+        dates = [(datetime.date(2020, 1, 1) + datetime.timedelta(d)).isoformat()
+                 for d in range(40)]
+        cells = [f"{first},{first}", f"{second},{second}"] + ["1,1", "2,2"] * 19
         prices = tmp_path / "bad.csv"
-        # Z comes first and is fine; A and B both fail, and A is named
-        prices.write_text(
-            f"date,Z,A,B\n2020-01-01,1,{first},{first}\n2020-01-02,2,{second},{second}\n"
-            "2020-01-03,3,1,1\n"
-        )
+        prices.write_text("date,Z,A,B\n" + "".join(
+            f"{day},{k + 1},{ab}\n" for k, (day, ab) in enumerate(zip(dates, cells))
+        ))
         index = tmp_path / "index.csv"
-        index.write_text(self.ONE_ASSET)
+        index.write_text("date,IDX\n" + "".join(f"{d},{k + 1}\n" for k, d in enumerate(dates)))
         argv = {
             "estimate-corr": ["estimate-corr", str(prices)],
             "effsize": ["effsize", "--prices", str(prices)],
             "variance-ratio": ["variance-ratio", "--index", str(index),
                                "--constituents", str(prices)],
+            "subset-curve": ["subset-curve", "--prices", str(prices), "--sizes", "2"],
+            "sliding": ["sliding", "--prices", str(prices), "--window", "30", "--step", "5"],
         }[command]
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (2, "", f"effport: data error: {message}\n")

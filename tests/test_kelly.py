@@ -116,6 +116,14 @@ class TestSymmetricMaximization:
         assert res.f_star == pytest.approx(max(2 * p - 1, 0.0), abs=1e-8)
         assert res.method == "numeric-exact"
 
+    # f* = 2p - 1 is pinned to within rounding noise. At p = 0.86 one ulp of
+    # f* exceeds the 1e-16 step rule, so the loop ends only once no float lies
+    # strictly inside the bracket; without that exit it never ends.
+    @pytest.mark.parametrize("p", [0.6, 0.86])
+    def test_single_asset_ends_within_4_ulp(self, p):
+        res = maximize_growth_symmetric(win_count_law(BinaryModelParams(1, p, 0.0)))
+        assert abs(res.f_star - (2 * p - 1)) <= 4 * math.ulp(2 * p - 1)
+
     def test_perfectly_correlated_acts_as_single_asset(self):
         res = maximize_growth_symmetric(win_count_law(BinaryModelParams(10, 0.6, 1.0)))
         assert res.total_fraction == pytest.approx(0.2, abs=1e-10)

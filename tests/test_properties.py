@@ -2,10 +2,11 @@
 
 The enumerated 2^M outcome table (``build_joint``) is the oracle for the
 closed-form (M+1)-point law (``win_count_law``) of the exchangeable win/lose
-model and for the growth solve on it. The row-by-row CSV reader is the oracle
-for ``load_prices``, whose regular files are read in blocks of lines. The
-entry sum of ``np.linalg.inv`` is the oracle for the Cholesky solve against
-ones.
+model and for the growth solve on it, and a bisection on the sign of dG/df is
+the oracle for that solve's Newton iteration. The row-by-row CSV reader is
+the oracle for ``load_prices``, whose regular files are read in blocks of
+lines. The entry sum of ``np.linalg.inv`` is the oracle for the Cholesky
+solve against ones.
 """
 
 import datetime
@@ -91,6 +92,43 @@ def test_first_order_optimality_at_500_assets(p, c):
         # weak correlation: the optimum sits on the feasibility bound
         assert slope >= 0.0
     assert 1.0 <= m_ef_kelly_numeric(m, p, c) <= m
+
+
+def growth_slope(law, f):
+    return float(law.probs @ (law.sums / (1.0 + f * law.sums)))
+
+
+def bisection_root(law, upper):
+    """Largest float in [0, upper] found left of a sign change of dG/df, by
+    bisection on its sign down to adjacent floats (0 if dG/df(0) <= 0)."""
+    lo, hi = 0.0, upper
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if growth_slope(law, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, MAX_SYMMETRIC_ASSETS), p=probabilities, c=correlations)
+@example(m=1, p=0.6, c=0.0)
+@example(m=MAX_SYMMETRIC_ASSETS, p=0.6, c=0.0)
+@example(m=1, p=0.5 + 1e-9, c=1.0)
+def test_growth_solve_at_bound_or_bisection_root(m, p, c):
+    law = win_count_law(BinaryModelParams(m, p, c))
+    upper = (1.0 - FEASIBILITY_EPS) / m
+    f = maximize_growth_symmetric(law).f_star
+    assert 0.0 <= f <= upper
+    if f == upper and growth_slope(law, upper) >= 0.0:
+        return
+    root = bisection_root(law, upper)
+    # the rounding error of dG/df over |d2G/df2| bounds how closely any float
+    # search can place the root; it exceeds 1e-12 relative only for p within
+    # about 1e-4 of 1/2, as in the third example
+    ratio = law.sums / (1.0 + root * law.sums)
+    noise = 16 * np.finfo(float).eps * (law.probs @ np.abs(ratio)) / (law.probs @ ratio**2)
+    assert abs(f - root) <= 1e-12 * root + noise
 
 
 # ------------------------------------------------------- solve against ones
