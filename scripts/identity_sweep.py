@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Hash every output of a fixed sweep of effport commands, for byte-identity checks.
 
-Usage: ``python scripts/identity_sweep.py SRC_DIR > hashes.txt``
+Usage: ``python scripts/identity_sweep.py [--dump DIR] SRC_DIR > hashes.txt``
 
 ``SRC_DIR`` is the ``src`` directory of the checkout to sweep; the commands
 and their inputs come from this checkout's ``perfbench/workloads.py`` and
 ``data/``. One ``sha256  name`` line is printed per standard output and per
 written file, so two checkouts are compared with ``diff`` on their listings.
 Commands that exit non-zero are listed with a hash of their exit code and
-standard error.
+standard error. With ``--dump DIR`` every hashed output is also written to
+``DIR/name``, so the lines that differ are listed by ``diff -r`` on two dumps.
 
 The sweep covers:
 
@@ -17,7 +18,11 @@ The sweep covers:
 - fig1 at M = 1..20, 25 and 40, with four fig2 settings at each M;
 - subset-curve on ``data/`` with and without sectors, over sizes 2..40 at
   600, 650 and 700 draws and at the 5000-draw default;
-- sliding on ``data/`` at window/step 252/1, 60/7 and 31/3;
+- sliding on ``data/`` at window/step 252/1, 60/7, 31/3 and 31/40 (a step
+  longer than the window);
+- sliding at 60/7 and 60/1 on ``data/`` with its first asset's price held
+  constant over the dates of exactly one 60/7 window, and at 60/7 and 252/1
+  on a panel whose first asset's returns have a mean 200 times their spread;
 - effsize and estimate-corr on ``data/``;
 - a seeded 2521 x 100 panel and its index through estimate-corr, effsize,
   variance-ratio, subset-curve and sliding;
@@ -43,16 +48,28 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: Directory that receives every hashed output (``--dump``), or None.
+DUMP: Path | None = None
+
+
+def record(name: str, data: bytes) -> None:
+    """Print the hash line of one output, and keep the output under DUMP."""
+    print(f"{sha256(data)}  {name}")
+    if DUMP is not None:
+        (DUMP / name).parent.mkdir(parents=True, exist_ok=True)
+        (DUMP / name).write_bytes(data)
+
+
 def run_cli(cli, name: str, argv: list[str], outputs: tuple[str, ...] = ()) -> None:
-    """Run one command in the current directory and print its hashes."""
+    """Run one command in the current directory and record its outputs."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     if code != 0:
-        print(f"{sha256(f'{code}:{err.getvalue()}'.encode())}  {name}.exit")
-    print(f"{sha256(out.getvalue().encode())}  {name}.stdout")
+        record(f"{name}.exit", f"{code}:{err.getvalue()}".encode())
+    record(f"{name}.stdout", out.getvalue().encode())
     for path in outputs:
-        print(f"{sha256(Path(path).read_bytes())}  {name}/{path}")
+        record(f"{name}/{path}", Path(path).read_bytes())
 
 
 def workload_steps(cli, writeprices, workloads, work: Path) -> None:
@@ -70,7 +87,7 @@ def workload_steps(cli, writeprices, workloads, work: Path) -> None:
                     if writeprices.main(list(step.args)) != 0:
                         raise RuntimeError(f"{name}: perfbench/writeprices.py failed")
                     for path in step.outputs:
-                        print(f"{sha256(Path(path).read_bytes())}  {name}/{path}")
+                        record(f"{name}/{path}", Path(path).read_bytes())
 
 
 def growth_commands(cli) -> None:
@@ -92,7 +109,7 @@ def data_commands(cli) -> None:
     run_cli(cli, "data/subset-default", ["subset-curve", *prices, "--sizes", "2,5,10,20,40"])
     run_cli(cli, "data/subset-sectors-default",
             ["subset-curve", *prices, *sectors, "--sizes", "2,5,10,20,40"])
-    for window, step in (("252", "1"), ("60", "7"), ("31", "3")):
+    for window, step in (("252", "1"), ("60", "7"), ("31", "3"), ("31", "40")):
         run_cli(cli, f"data/sliding-{window}-{step}",
                 ["sliding", *prices, "--window", window, "--step", step])
     run_cli(cli, "data/estimate-corr", ["estimate-corr", prices[1]])
@@ -113,7 +130,7 @@ def large_panel(cli, marketdata, np) -> None:
         "wide_index.csv",
     )
     for path in ("wide.csv", "wide_index.csv"):
-        print(f"{sha256(Path(path).read_bytes())}  wide/{path}")
+        record(f"wide/{path}", Path(path).read_bytes())
     run_cli(cli, "wide/variance-ratio",
             ["variance-ratio", "--index", "wide_index.csv", "--constituents", "wide.csv"])
     run_cli(cli, "wide/subset-curve",
@@ -121,6 +138,25 @@ def large_panel(cli, marketdata, np) -> None:
     run_cli(cli, "wide/sliding", ["sliding", "--prices", "wide.csv"])
     run_cli(cli, "wide/estimate-corr", ["estimate-corr", "wide.csv"])
     run_cli(cli, "wide/effsize", ["effsize", "--prices", "wide.csv"])
+
+
+def sliding_edge_cases(cli, marketdata, np) -> None:
+    panel = marketdata.load_prices(DATA / "synthetic_prices.csv")
+    prices = panel.prices.copy()
+    # the 60 dates of window 10 of 60/7: its 59 returns of asset 0 are 0
+    prices[70:130, 0] = prices[70, 0]
+    marketdata.write_prices_csv(
+        marketdata.PricePanel(panel.dates, panel.assets, prices), "flat.csv")
+    rng = np.random.default_rng(40)
+    returns = 0.01 * rng.standard_normal((756, 10))
+    returns[:, 0] = 0.002 + 1e-5 * rng.standard_normal(756)
+    marketdata.write_prices_csv(marketdata.panel_from_returns(returns), "level.csv")
+    for path in ("flat.csv", "level.csv"):
+        record(f"edge/{path}", Path(path).read_bytes())
+    for path, window, step in (("flat.csv", "60", "7"), ("flat.csv", "60", "1"),
+                               ("level.csv", "60", "7"), ("level.csv", "252", "1")):
+        run_cli(cli, f"edge/sliding-{path[:-4]}-{window}-{step}",
+                ["sliding", "--prices", path, "--window", window, "--step", step])
 
 
 def refusals(cli) -> None:
@@ -145,6 +181,10 @@ def refusals(cli) -> None:
 
 
 def main(argv: list[str]) -> int:
+    global DUMP
+    if argv[:1] == ["--dump"] and len(argv) == 3:
+        DUMP = Path(argv[1]).resolve()
+        argv = argv[2:]
     if len(argv) != 1:
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 1
@@ -162,6 +202,7 @@ def main(argv: list[str]) -> int:
         growth_commands(cli)
         data_commands(cli)
         large_panel(cli, marketdata, np)
+        sliding_edge_cases(cli, marketdata, np)
         refusals(cli)
         os.chdir(ROOT)
     return 0

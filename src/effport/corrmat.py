@@ -178,11 +178,11 @@ def pearson(x, y) -> float:
     return float(correlation_values(np.column_stack([a, b]))[0, 1])
 
 
-def correlation_values(returns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def correlation_values(returns: np.ndarray) -> np.ndarray:
     """Pairwise Pearson correlations of the columns of a (T, M) return matrix.
 
-    Array-in/array-out core of :func:`estimate_matrix` and the sliding window
-    pipeline (which fills ``out``). Zero-variance columns get 0 off the diagonal.
+    Array-in/array-out core of :func:`estimate_matrix`, :func:`pearson` and
+    the price-panel commands. Zero-variance columns get 0 off the diagonal.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 1:
@@ -196,7 +196,7 @@ def correlation_values(returns: np.ndarray, out: np.ndarray | None = None) -> np
     corr = cross / r.shape[0] / np.outer(denom, denom)
     corr[riskfree, :] = 0.0
     corr[:, riskfree] = 0.0
-    corr = np.clip(0.5 * (corr + corr.T), -1.0, 1.0, out=out)
+    corr = np.clip(0.5 * (corr + corr.T), -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return corr
 

@@ -234,7 +234,8 @@ def m_ef_sector_stack(a: np.ndarray, codes: np.ndarray) -> np.ndarray:
     local = np.take_along_axis(np.cumsum(present, axis=1) - 1, codes, axis=1)
     counts = present.sum(axis=1)
     out = np.empty(codes.shape[0])
-    for n in np.unique(counts):
+    # np.unique would import numpy.ma; this gives the same counts in the same order
+    for n in np.flatnonzero(np.bincount(counts)):
         # a view, not a copy of the stack, when every matrix has n sectors
         rows = counts == n if (counts != n).any() else slice(None)
         weights = _sector_weights(local[rows], int(n))

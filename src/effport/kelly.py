@@ -132,9 +132,13 @@ def maximize_growth_symmetric(law: WinCountLaw) -> GrowthResult:
     (``rtsafe``, Numerical Recipes). It stops at a step of at most 1e-16
     max(1, f), or when no float lies strictly inside the bracket, which every
     other step shrinks: it always ends.
+
+    It abstains where the edge E[sum R] is at most (M + 1) eps E|sum R|, the
+    rounding bound of its dot product: at p = 1/2 the rounded edge reached
+    0.4 of that over M = 1..300 and up to 2000, C = 0..1.
     """
     sums, probs = law.sums, law.probs
-    if float(probs @ sums) <= 0.0:
+    if float(probs @ sums) <= (law.m + 1) * np.finfo(float).eps * float(probs @ np.abs(sums)):
         return GrowthResult(f_star=0.0, g_star=0.0, total_fraction=0.0, method="numeric-exact")
     upper = (1.0 - FEASIBILITY_EPS) / law.m
     lo, hi = 0.0, upper

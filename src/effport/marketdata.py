@@ -34,10 +34,12 @@ TRADING_DAYS_PER_YEAR = 252
 
 #: Bytes of one (k, n, n) stack in the subset and sliding pipelines. Only one
 #: stack and its Cholesky factor are held at a time, so memory does not grow
-#: with M, and no result depends on k. Fresh-process peak RSS of subset-curve
-#: on data/ was 38.9, 39.6, 41.1, 43.1 and 46.3 MB at 2^18 to 2^22 bytes
-#: (42.3 MB at 256 matrices a stack); below 2^20 subset_curve got slower
-#: (+6% at 2^19, +26% at 2^18), and at M = 100 a stack is already 13 matrices.
+#: with M. No result depends on k: every matrix is solved on its own, and the
+#: rolling sums of sliding carry over from stack to stack and restart at fixed
+#: window indices. Fresh-process peak RSS of subset-curve on data/ was 38.9,
+#: 39.6, 41.1, 43.1 and 46.3 MB at 2^18 to 2^22 bytes (42.3 MB at 256 matrices
+#: a stack); below 2^20 subset_curve got slower (+6% at 2^19, +26% at 2^18),
+#: and at M = 100 a stack is already 13 matrices.
 _STACK_BYTES = 1 << 20
 
 
@@ -342,9 +344,9 @@ def sliding_window_effsize(
     """Time series of effective size and annualized mean return per window.
 
     Window k covers the prices at dates [k*step, k*step + length); the
-    correlation matrix is estimated from the length-1 returns inside it.
-    Near-singular windows yield a NaN gap marker instead of failing the run.
-    Windows are evaluated in stacks of :func:`_stack_len` matrices in one buffer.
+    correlation matrix is estimated from the length-1 returns inside it, by
+    :func:`_window_correlations`. Near-singular windows yield a NaN gap marker
+    instead of failing the run.
     """
     t = panel.n_dates
     if t < window.length:
@@ -352,22 +354,167 @@ def sliding_window_effsize(
             f"panel spans {t} dates, shorter than the {window.length}-day window"
         )
     returns = _returns_matrix(panel)
-    starts = range(0, t - window.length + 1, window.step)
-    chunks = [returns[s : s + window.length - 1] for s in starts]
-    k = _stack_len(panel.n_assets)
-    corrs = np.empty((min(k, len(chunks)), panel.n_assets, panel.n_assets))
-    m_ef: list[float] = []
-    for first in range(0, len(chunks), k):
-        block = chunks[first : first + k]
-        for i, c in enumerate(block):
-            correlation_values(c, out=corrs[i])
-        m_ef.extend(m_ef_exact_stack(corrs[: len(block)]).tolist())
+    rows = window.length - 1
+    m_ef = np.concatenate([
+        m_ef_exact_stack(corrs) for corrs in _window_correlations(returns, rows, window.step)
+    ])
     return [
         WindowPoint(
-            panel.dates[s + window.length - 1], m, trading_days_per_year * float(c.mean())
+            panel.dates[s + rows], m, trading_days_per_year * float(returns[s : s + rows].mean())
         )
-        for s, c, m in zip(starts, chunks, m_ef)
+        for s, m in zip(range(0, t - rows, window.step), m_ef.tolist())
     ]
+
+
+#: Windows from one restart of the rolling sums of :func:`_window_correlations`
+#: to the next, counted from window 0.
+_RESTART_WINDOWS = 16
+
+#: Largest ratio of a column's largest shifted square sum since the last
+#: restart to its square sum about the window's mean that
+#: :func:`_window_correlations` accepts.
+_CANCELLATION = 4.0
+
+
+def _window_correlations(returns: np.ndarray, rows: int, step: int):
+    """Correlations of the windows of ``rows`` returns that start every
+    ``step`` rows of a (T, M) return matrix, yielded in stacks of at most
+    :func:`_stack_len` matrices that share one buffer: each stack is
+    overwritten by the next.
+
+    A window's column sums and cross-product sums of its returns, shifted by
+    the column means of the window that last restarted them, come from the
+    previous window's by adding the rows that enter and removing the rows
+    that leave (Chan, Golub & LeVeque 1983; Pebay 2008): one batched matmul
+    for the stack, then a cumulative sum. Every ``_RESTART_WINDOWS``-th
+    window, and every window when the step is at least half a window, is
+    summed alone about its own means, and so is every window where the
+    largest shifted square sum of a column since the restart exceeds
+    ``_CANCELLATION`` times its square sum about the window's mean, as the
+    rounding of the running sums grows with the former. A column is
+    risk-free (correlation 0) in a window where none of its returns differs
+    from the one before. No result depends on the stack length.
+    """
+    t, m = returns.shape
+    starts = np.arange(0, t - rows + 1, step)
+    period = _RESTART_WINDOWS if 2 * step < rows else 1
+    # the rows that enter a window, then those that leave it, from its first
+    # row (summed while period > 1); a stack of them, or of the row-change
+    # counts below, takes no more than _STACK_BYTES either
+    offsets = np.r_[rows - step : rows, -step:0]
+    k = min(_stack_len(m), max(1, _STACK_BYTES // (16 * step * m)))
+    # the entries that mirror the lower triangle, so that each matrix is
+    # exactly symmetric
+    upper = np.triu_indices(m, 1)
+
+    def window(w):
+        return returns[starts[w] : starts[w] + rows]
+
+    cross_buffer = np.empty((min(k, len(starts)), m, m))
+    sums_buffer = np.empty((len(cross_buffer), m))
+    for first in range(0, len(starts), k):
+        last = min(first + k, len(starts))
+        cross, sums = cross_buffer[: last - first], sums_buffer[: last - first]
+        # a column varies in a window where its count of row-to-row changes
+        # over the rows of the stack grows inside the window
+        lo, hi = starts[first], starts[last - 1] + rows
+        changes = np.zeros((hi - lo, m), dtype=np.int32)
+        np.cumsum(returns[lo + 1 : hi] != returns[lo : hi - 1], axis=0, dtype=np.int32,
+                  out=changes[1:])
+        varying = changes[starts[first:last] - lo + rows - 1] != changes[starts[first:last] - lo]
+        del changes
+        if period > 1:
+            # each window's entering rows less its leaving rows, shifted by the
+            # column means of its restart window (window 0 has none: it is one)
+            segment = np.arange(first, last) // period
+            shifts = np.array([window(s * period).mean(axis=0)
+                               for s in range(segment[0], segment[-1] + 1)])
+            moved = returns[starts[first:last, None] + offsets]
+            moved -= shifts[segment - segment[0], None]
+            signed = moved.copy()
+            signed[:, step:] *= -1.0
+            np.matmul(signed.transpose(0, 2, 1), moved, out=cross)
+            signed.sum(axis=1, out=sums)
+            del moved, signed  # not held while the caller solves the stack
+            if first % period:
+                cross[0] += carry_cross
+                sums[0] += carry_sums
+        restarts = range(-(-first // period) * period, last, period)
+        for w in restarts:
+            _centred_sums(window(w), cross[w - first], sums[w - first])
+        # each piece runs from a restart, or the stack's start, to the next one
+        bounds = sorted({first, last, *restarts})
+        square_sums = cross.diagonal(axis1=1, axis2=2)
+        peak = np.empty_like(sums)
+        for a, b in zip(bounds, bounds[1:]):
+            piece = slice(a - first, b - first)
+            np.cumsum(cross[piece], axis=0, out=cross[piece])
+            np.cumsum(sums[piece], axis=0, out=sums[piece])
+            np.maximum.accumulate(square_sums[piece], axis=0, out=peak[piece])
+        if first % period:
+            piece = slice(0, bounds[1] - first)
+            np.maximum(peak[piece], carry_peak, out=peak[piece])
+        carry_cross, carry_sums, carry_peak = cross[-1].copy(), sums[-1].copy(), peak[-1].copy()
+        # the sums' rounding grows with the largest square sum since the
+        # restart: where that dwarfs the variance, sum the window alone
+        lossy = varying & (peak > _CANCELLATION * (square_sums - sums**2 / rows))
+        for j in np.flatnonzero(lossy.any(axis=1)):
+            _centred_sums(window(first + j), cross[j], sums[j])
+        yield _to_correlations(cross, sums, rows, varying, upper)
+
+
+def _centred_sums(window: np.ndarray, cross: np.ndarray, sums: np.ndarray) -> None:
+    """Cross-product and column sums of a window's returns about their column means."""
+    centred = window - window.mean(axis=0)
+    np.matmul(centred.T, centred, out=cross)
+    centred.sum(axis=0, out=sums)
+
+
+def _to_correlations(cross: np.ndarray, sums: np.ndarray, rows: int, varying: np.ndarray, upper):
+    """Correlations, in place of ``cross``, from the (k, M, M) cross-product
+    sums and (k, M) column sums of ``rows`` shifted returns; a column that is
+    not ``varying``, or has no positive variance, gets correlation 0. The
+    entries at ``upper``, ``np.triu_indices(M, 1)``, mirror the lower ones."""
+    # outer products by einsum: broadcasting (k, M, 1) against (k, 1, M) took
+    # 2.5 times as long at k = 81, M = 40
+    scaled = sums / math.sqrt(rows)
+    outer = np.einsum("ki,kj->kij", scaled, scaled)
+    cross -= outer
+    centred_squares = cross.diagonal(axis1=1, axis2=2)
+    live = varying & (centred_squares > 0.0)
+    scale = 1.0 / np.sqrt(np.where(live, centred_squares, np.inf))
+    cross *= np.einsum("ki,kj->kij", scale, scale, out=outer)
+    del outer
+    cross[:, upper[0], upper[1]] = cross[:, upper[1], upper[0]]
+    np.clip(cross, -1.0, 1.0, out=cross)
+    diagonal = np.arange(cross.shape[1])
+    cross[:, diagonal, diagonal] = 1.0
+    return cross
+
+
+def _draw_subsets(rng: np.random.Generator, universe: int, size: int, count: int) -> np.ndarray:
+    """Sorted index rows of ``count`` successive draws of
+    ``rng.choice(universe, size, replace=False)``, with the same values and
+    the same generator state afterwards.
+
+    ``Generator.choice`` draws by Floyd's algorithm, one bounded integer in
+    [0, j] for each j = universe - size .. universe - 1 (j itself where the
+    integer was drawn before), then shuffles with one bounded integer in
+    [0, i] for each i = size - 1 .. 1. One ``rng.integers`` call with those
+    bounds makes the same calls to the bit generator; the shuffle's integers
+    only reorder a draw, which is sorted here. For a large universe numpy
+    shuffles a full range instead, and so does this function by calling it.
+    """
+    if universe > 10_000 and size > universe // 50:
+        return np.sort([rng.choice(universe, size, replace=False) for _ in range(count)], axis=1)
+    floyd = np.arange(universe - size, universe)
+    bounds = np.concatenate([floyd, np.arange(size - 1, 0, -1)])
+    idx = rng.integers(0, np.broadcast_to(bounds, (count, bounds.size)), endpoint=True)[:, :size]
+    for t in range(1, size):
+        drawn = (idx[:, :t] == idx[:, t, None]).any(axis=1)
+        idx[drawn, t] = floyd[t]
+    idx.sort(axis=1)
+    return idx
 
 
 def _evaluate_subsets(corr: np.ndarray, idx: np.ndarray, codes: np.ndarray | None):
@@ -408,11 +555,7 @@ def subset_curve(
         k = _stack_len(size)
         blocks = []
         for first in range(0, spec.draws, k):
-            idx = np.array([
-                rng.choice(universe, size=size, replace=False)
-                for _ in range(min(k, spec.draws - first))
-            ])
-            idx.sort(axis=1)
+            idx = _draw_subsets(rng, universe, size, min(k, spec.draws - first))
             blocks.append(_evaluate_subsets(corr, idx, codes))
         exact, even, sector = np.concatenate(blocks, axis=1)
         keep = ~(np.isnan(exact) | np.isnan(even))

@@ -2,8 +2,11 @@
 
 ``subset_curve`` and ``sliding_window_effsize`` evaluate whole stacks of
 matrices at once. The loops below evaluate one matrix per iteration through
-the scalar API (a stack of one in the Cholesky core); the results must agree
-exactly, NaN included.
+the scalar API (a stack of one in the Cholesky core). ``subset_curve`` must
+agree with its loop exactly, NaN included. ``sliding_window_effsize`` keeps
+rolling sums from window to window, so it must agree with its loop on the
+dates, the annual returns and the NaN windows exactly, and on m_ef to a
+relative 1e-12.
 """
 
 import math
@@ -88,6 +91,14 @@ def loop_sliding(panel, window, trading_days_per_year=252):
     return points
 
 
+def assert_sliding_matches(got, want):
+    """Same dates, annual returns and NaN windows; m_ef within 1e-12 relative."""
+    assert [pt[0::2] for pt in got] == [pt[0::2] for pt in want]
+    got_m, want_m = (np.array([pt.m_ef for pt in pts]) for pts in (got, want))
+    assert np.array_equal(np.isnan(got_m), np.isnan(want_m))
+    np.testing.assert_allclose(got_m, want_m, rtol=1e-12, atol=0.0)
+
+
 def exact(points):
     """Points with NaN replaced by a marker, so == compares them exactly."""
     return [
@@ -170,23 +181,94 @@ class TestSlidingMatchesLoop:
     def test_bundled_panel(self, bundled, length, step):
         panel, _ = bundled
         window = WindowSpec(length=length, step=step)
-        got = sliding_window_effsize(panel, window)
-        assert exact(got) == exact(loop_sliding(panel, window))
+        assert_sliding_matches(sliding_window_effsize(panel, window), loop_sliding(panel, window))
 
     def test_more_windows_than_stack_size(self, bundled):
         panel, _ = bundled
         window = WindowSpec(length=60, step=2)
         got = sliding_window_effsize(panel, window)
         assert len(got) > marketdata._stack_len(panel.n_assets)
-        assert got == loop_sliding(panel, window)
+        assert len(got) > 2 * marketdata._RESTART_WINDOWS
+        assert_sliding_matches(got, loop_sliding(panel, window))
 
     def test_duplicated_asset_gives_nan_windows(self, bundled):
         panel = early_twin(bundled[0])
         window = WindowSpec(length=252, step=5)
         got = sliding_window_effsize(panel, window)
-        assert exact(got) == exact(loop_sliding(panel, window))
+        assert_sliding_matches(got, loop_sliding(panel, window))
         nan = [math.isnan(pt.m_ef) for pt in got]
         assert any(nan) and not all(nan)
+
+
+def window_panel(t, m, rows, step, seed, flat_window):
+    """A (t, m) return matrix: column 0 constant in window ``flat_window`` and
+    in no other, column 1 with a mean 1e4 times its spread, and column 2 with
+    a mean 1e5 times its spread that doubles halfway."""
+    rng = np.random.default_rng(seed)
+    returns = 0.01 * rng.standard_normal((t, m))
+    start = flat_window * step
+    returns[start : start + rows, 0] = 0.003
+    if m > 1:
+        returns[:, 1] = 1.0 + 1e-4 * rng.standard_normal(t)
+    if m > 2:
+        returns[:, 2] = 1e-4 + 1e-9 * rng.standard_normal(t)
+        returns[t // 2 :, 2] += 1e-4
+    return returns
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    t=st.integers(29, 200), m=st.integers(1, 6), rows=st.integers(29, 80), step=st.integers(1, 90),
+    seed=st.integers(0, 2**32 - 1), flat=st.integers(0, 200), budget=st.sampled_from([1, 4000]),
+)
+def test_rolling_correlations_match_each_window(t, m, rows, step, seed, flat, budget):
+    # sliding's windows hold at least 29 returns
+    rows = min(rows, t)
+    count = (t - rows) // step + 1
+    returns = window_panel(t, m, rows, step, seed, flat % count)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(marketdata, "_STACK_BYTES", budget)
+        got = np.concatenate([c.copy() for c in marketdata._window_correlations(returns, rows, step)])
+    assert len(got) == count
+    for w, corr in enumerate(got):
+        want = correlation_values(returns[w * step : w * step + rows])
+        assert np.array_equal(corr, corr.T)
+        np.testing.assert_allclose(corr, want, rtol=0.0, atol=1e-13)
+        # the risk-free convention is decided exactly, not on rounded sums
+        assert np.array_equal(corr == 0.0, want == 0.0)
+
+
+def test_long_run_of_windows_stays_close(bundled):
+    # 506 windows, 8 restarts of the rolling sums
+    returns = np.diff(bundled[0].prices, axis=0) / bundled[0].prices[:-1]
+    got = np.concatenate([c.copy() for c in marketdata._window_correlations(returns, 251, 1)])
+    for w, corr in enumerate(got):
+        want = correlation_values(returns[w : w + 251])
+        np.testing.assert_allclose(corr, want, rtol=0.0, atol=1e-13)
+
+
+def test_draws_equal_generator_choice():
+    for universe in range(2, 101):
+        for size in range(1, universe + 1):
+            for seed in range(3):
+                count = 1 + (7 * universe + 3 * size + seed) % 9
+                rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+                for rng in rngs:
+                    # leave the generator with and without a buffered 32-bit half
+                    rng.random(seed, dtype=np.float32)
+                got = marketdata._draw_subsets(rngs[0], universe, size, count)
+                want = [rngs[1].choice(universe, size, replace=False) for _ in range(count)]
+                assert np.array_equal(got, np.sort(want, axis=1))
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_draws_equal_generator_choice_tail_shuffle():
+    # numpy shuffles a full range here, not by Floyd's algorithm
+    rngs = np.random.default_rng(9), np.random.default_rng(9)
+    got = marketdata._draw_subsets(rngs[0], 20_000, 500, 3)
+    want = [rngs[1].choice(20_000, 500, replace=False) for _ in range(3)]
+    assert np.array_equal(got, np.sort(want, axis=1))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 @pytest.mark.parametrize("budget", [1, 8 * 40 * 40 * 3])
@@ -244,6 +326,24 @@ class TestStackMemory:
         assert outs[0].usable.all() and not outs[1].usable.any()
         # measured 1.15 MB for both; a second stack of factors would be 2.1 MB
         assert peaks[1] <= 1.3 * peaks[0]
+
+
+def test_rolling_sums_memory_does_not_grow_with_dates(monkeypatch):
+    # with small stacks, what the rolling sums hold at once is set by the
+    # stack: the row-change counts cover only the rows of one stack's windows
+    monkeypatch.setattr(marketdata, "_STACK_BYTES", 16_000)
+    rng = np.random.default_rng(8)
+    peaks = []
+    for t in (1_000, 8_000):
+        returns = 0.01 * rng.standard_normal((t, 20))
+        count, peak = TestStackMemory.traced_peak(
+            lambda: sum(1 for _ in marketdata._window_correlations(returns, 59, 1))
+        )
+        assert count > 10
+        peaks.append(peak)
+    # less than a byte more per added return; counts over the whole panel
+    # would add 9 (an int64 count and a bool per return)
+    assert peaks[1] - peaks[0] <= (8_000 - 1_000) * 20
 
 
 @settings(max_examples=60, deadline=None)

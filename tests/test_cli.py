@@ -477,3 +477,48 @@ def test_cli_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# each command of the benchmark workloads, on small inputs; {d} is the input directory
+WORKLOAD_COMMANDS = {
+    "estimate-corr": ["estimate-corr", "{d}/prices.csv", "--out", "{d}/corr.tsv"],
+    "effsize-corr": ["effsize", "--corr", "{d}/corr.tsv"],
+    "effsize-prices": ["effsize", "--prices", "{d}/prices.csv", "--sectors", "{d}/sectors.csv"],
+    "variance-ratio": ["variance-ratio", "--index", "{d}/index.csv", "--constituents",
+                       "{d}/prices.csv"],
+    "subset-curve": ["subset-curve", "--prices", "{d}/prices.csv", "--sectors", "{d}/sectors.csv",
+                     "--sizes", "2,3,5", "--draws", "20", "--seed", "1"],
+    "sliding": ["sliding", "--prices", "{d}/prices.csv", "--window", "60", "--step", "7"],
+    "fig1": ["fig1", "--m", "4", "--p-list", "0.6", "--c-grid", "0,0.5"],
+    "fig2": ["fig2", "--m", "4", "--p", "0.55", "--c-true", "0.2", "--c-grid", "0.1,0.2"],
+}
+
+
+@pytest.fixture(scope="module")
+def workload_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(41)
+    returns = 0.01 * (0.5 * rng.standard_normal((300, 1)) + rng.standard_normal((300, 5)))
+    write_prices_csv(panel_from_returns(returns, assets=list("ABCDE")), d / "prices.csv")
+    write_prices_csv(panel_from_returns(returns.mean(axis=1, keepdims=True), ["I"]),
+                     d / "index.csv")
+    (d / "sectors.csv").write_text("asset,sector\nA,x\nB,x\nC,y\nD,y\nE,z\n")
+    assert cli.main(["estimate-corr", str(d / "prices.csv"), "--out", str(d / "corr.tsv")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("name", WORKLOAD_COMMANDS)
+def test_workload_command_imports(name, workload_inputs, capsys):
+    # numpy.ma costs a fresh process about 15 ms and 1.2 MB; numpy.random is
+    # needed only for subset-curve's draws
+    capsys.readouterr()
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [arg.format(d=workload_inputs) for arg in WORKLOAD_COMMANDS[name]]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from effport import cli; "
+        "code = cli.main(sys.argv[1:]); "
+        "sys.stderr.write(f\"{code} {'numpy.ma' in sys.modules} {'numpy.random' in sys.modules}\")"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         check=True)
+    assert out.stderr.split()[-3:] == ["0", "False", str(name == "subset-curve")]

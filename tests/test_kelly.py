@@ -143,6 +143,12 @@ class TestSymmetricMaximization:
         res = maximize_growth_symmetric(win_count_law(BinaryModelParams(5, 0.4, 0.3)))
         assert res.f_star == 0.0 and res.g_star == 0.0 and res.total_fraction == 0.0
 
+    @pytest.mark.parametrize("m,c", [(1000, 0.5), (241, 0.3), (261, 0.7)])
+    def test_zero_edge_abstains_exactly(self, m, c):
+        # the rounded edge E[sum R] is +4.7e-12, -3.2e-13 and +3.7e-13 here
+        res = maximize_growth_symmetric(win_count_law(BinaryModelParams(m, 0.5, c)))
+        assert res.f_star == 0.0 and res.g_star == 0.0 and res.total_fraction == 0.0
+
     @pytest.mark.parametrize("seed", range(3))
     def test_no_random_feasible_point_beats_optimum(self, seed):
         rng = np.random.default_rng(seed)

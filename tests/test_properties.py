@@ -120,6 +120,10 @@ def test_growth_solve_at_bound_or_bisection_root(m, p, c):
     upper = (1.0 - FEASIBILITY_EPS) / m
     f = maximize_growth_symmetric(law).f_star
     assert 0.0 <= f <= upper
+    # an edge within the rounding bound of its dot product is no edge
+    if law.probs @ law.sums <= (m + 1) * np.finfo(float).eps * (law.probs @ np.abs(law.sums)):
+        assert f == 0.0
+        return
     if f == upper and growth_slope(law, upper) >= 0.0:
         return
     root = bisection_root(law, upper)
