@@ -13,6 +13,8 @@ The model is exchangeable, so anything that treats the assets alike depends
 only on the number k of winning assets. :func:`win_count_law` gives the exact
 (M+1)-point law of k in closed form; the symmetric growth solvers (fig1,
 fig2) run on it, up to the asset cap in :mod:`effport.kelly`.
+:func:`m_ef_uniform` is the closed-form effective size of M assets at
+uniform correlation C, which fig1 compares with the growth solvers.
 :func:`build_joint` enumerates the full 2^M outcome table, needed only for
 general (unequal) fractions and limited to 20 assets; beyond that, use
 :func:`sample`.
@@ -192,6 +194,23 @@ def win_count_law(params: BinaryModelParams) -> WinCountLaw:
     probs.flags.writeable = False
     sums.flags.writeable = False
     return WinCountLaw(m=m, sums=sums, probs=probs)
+
+
+def _check_uniform(m: int, c: float) -> None:
+    """Refuse an asset count below 1 or a uniform correlation outside [0, 1]."""
+    if m < 1:
+        raise DomainError(f"asset count must be >= 1, got {m}")
+    if not 0.0 <= c <= 1.0:
+        raise DomainError(f"uniform correlation must lie in [0, 1], got {c}")
+
+
+def m_ef_uniform(m: int, c: float) -> float:
+    """Closed form M / (1 + (M-1) C) for uniformly correlated assets.
+
+    Equals M at C=0, 1 at C=1, and tends to 1/C as M grows.
+    """
+    _check_uniform(m, c)
+    return m / (1.0 + (m - 1) * c)
 
 
 def sample(params: BinaryModelParams, n: int, seed: int) -> np.ndarray:

@@ -3,18 +3,18 @@
 Subcommands: estimate-corr, effsize, subset-curve, sliding, fig1, fig2,
 variance-ratio. Every command is a pure function of its inputs, flags, and
 seed; rerunning writes byte-identical output. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numerical error.
+error, 2 data error, 3 numerical error. Each command imports the modules it
+runs when it runs, so building the parser loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from . import binmodel, corrmat, effsize, kelly, marketdata
 from .errors import (
     BankruptcyError,
     DataError,
@@ -24,8 +24,11 @@ from .errors import (
     InputShapeError,
     NearSingularError,
     ParseError,
+    fmt_float,
 )
-from .marketdata import fmt_float
+
+if TYPE_CHECKING:
+    from . import corrmat, marketdata
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,6 +85,8 @@ def _matrix_rows(assets: Sequence[str], values: np.ndarray):
 
 def _read_corr_file(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatrix]:
     """Read a correlation matrix in the estimate-corr output format."""
+    from . import corrmat, marketdata
+
     with open(path, "r", newline="") as fh:
         reader = marketdata.csv_rows(fh, delimiter="\t")
         try:
@@ -114,6 +119,8 @@ def _read_corr_file(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatr
 
 def _load_panel(path: str) -> marketdata.PricePanel:
     """Load a price panel, reporting any assets dropped for missing quotes."""
+    from . import marketdata
+
     panel = marketdata.load_prices(path)
     if panel.dropped_assets:
         print(
@@ -125,6 +132,8 @@ def _load_panel(path: str) -> marketdata.PricePanel:
 
 
 def _corr_from_prices(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatrix]:
+    from . import corrmat, marketdata
+
     panel = _load_panel(path)
     returns = marketdata._returns_matrix(panel)
     if panel.n_assets < 2:
@@ -135,6 +144,8 @@ def _corr_from_prices(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMa
 
 
 def _cmd_estimate_corr(args) -> int:
+    from . import effsize
+
     assets, corr = _corr_from_prices(args.prices)
     eigs = np.linalg.eigvalsh(corr.values)
     summary_header = ["M", "mean_corr", "eig_min", "eig_max"]
@@ -155,6 +166,8 @@ def _cmd_estimate_corr(args) -> int:
 
 
 def _cmd_effsize(args) -> int:
+    from . import effsize, marketdata
+
     _require(bool(args.prices) != bool(args.corr), "give exactly one of --prices or --corr")
     if args.prices:
         assets, corr = _corr_from_prices(args.prices)
@@ -178,6 +191,8 @@ def _cmd_effsize(args) -> int:
 
 
 def _cmd_subset_curve(args) -> int:
+    from . import marketdata
+
     sizes = _int_list(args.sizes)
     _require(len(sizes) >= 1, "--sizes must list at least one portfolio size")
     _require(all(s >= 2 for s in sizes), "every portfolio size must be >= 2")
@@ -206,8 +221,11 @@ def _cmd_subset_curve(args) -> int:
 
 
 def _cmd_sliding(args) -> int:
+    from . import marketdata
+
+    length = marketdata.TRADING_DAYS_PER_YEAR if args.window is None else args.window
     try:
-        window = marketdata.WindowSpec(length=args.window, step=args.step)
+        window = marketdata.WindowSpec(length=length, step=args.step)
     except DomainError as exc:
         raise _UsageError(str(exc)) from None
     panel = _load_panel(args.prices)
@@ -225,6 +243,8 @@ def _cmd_sliding(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
+    from . import binmodel, kelly
+
     _require(1 <= args.m <= kelly.MAX_SYMMETRIC_ASSETS,
              f"--m must lie in [1, {kelly.MAX_SYMMETRIC_ASSETS}]")
     p_values = _float_list(args.p_list)
@@ -243,7 +263,7 @@ def _cmd_fig1(args) -> int:
                 [
                     fmt_float(p),
                     fmt_float(c),
-                    fmt_float(effsize.m_ef_uniform(args.m, c)),
+                    fmt_float(binmodel.m_ef_uniform(args.m, c)),
                     fmt_float(numeric),
                 ]
             )
@@ -252,6 +272,8 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    from . import kelly
+
     _require(1 <= args.m <= kelly.MAX_SYMMETRIC_ASSETS,
              f"--m must lie in [1, {kelly.MAX_SYMMETRIC_ASSETS}]")
     _require(0.0 < args.p < 1.0, "--p must lie in (0, 1)")
@@ -267,6 +289,8 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_variance_ratio(args) -> int:
+    from . import corrmat, effsize, marketdata
+
     index_panel = _load_panel(args.index)
     if index_panel.n_assets != 1:
         raise DataError(
@@ -321,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sliding", help="sliding-window effective-size time series")
     p.add_argument("--prices", required=True)
-    p.add_argument("--window", type=int, default=marketdata.TRADING_DAYS_PER_YEAR,
-                   help="window length in trading days")
+    p.add_argument("--window", type=int, help="window length in trading days")
     p.add_argument("--step", type=int, default=1, help="stride in trading days")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sliding)

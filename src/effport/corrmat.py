@@ -373,16 +373,10 @@ def invert(corr: CorrelationMatrix) -> InverseCorrelationMatrix:
     return InverseCorrelationMatrix(values=inv, source=corr, reciprocal_condition=rcond)
 
 
-def _check_uniform(m: int, c: float) -> None:
-    """Refuse an asset count below 1 or a uniform correlation outside [0, 1]."""
-    if m < 1:
-        raise DomainError(f"asset count must be >= 1, got {m}")
-    if not 0.0 <= c <= 1.0:
-        raise DomainError(f"uniform correlation must lie in [0, 1], got {c}")
-
-
 def uniform_matrix(m: int, c: float) -> CorrelationMatrix:
     """M x M matrix with unit diagonal and constant off-diagonal correlation c."""
+    from .binmodel import _check_uniform
+
     _check_uniform(m, c)
     a = np.full((m, m), float(c))
     np.fill_diagonal(a, 1.0)
@@ -395,6 +389,8 @@ def uniform_inverse_closed_form(m: int, c: float) -> InverseCorrelationMatrix:
     Diagonal entries are (1+(M-2)C)/((1-C)(1+(M-1)C)) and off-diagonal ones
     -C/((1-C)(1+(M-1)C)).
     """
+    from .binmodel import _check_uniform
+
     _check_uniform(m, c)
     if m == 1:
         # a 1x1 matrix is [[1]] for any c; the general formula divides by 1-c

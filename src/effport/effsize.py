@@ -4,9 +4,10 @@ The effective size of a portfolio of M correlated assets is the number of
 hypothetical uncorrelated assets whose optimal portfolio behaves the same;
 for both the minimum-variance and the growth-optimal framework it equals the
 sum of all entries of the inverse correlation matrix. This module also
-provides the closed form for uniform correlations, the average-correlation
-(even-investment) estimate, the sector-reduced estimate, and the
-variance-ratio estimate from index data.
+provides the average-correlation (even-investment) estimate, the
+sector-reduced estimate, and the variance-ratio estimate from index data.
+The closed form for uniform correlations, ``m_ef_uniform``, lives with the
+uniform model in :mod:`effport.binmodel` and is importable from here too.
 
 The exact, even and sector estimates also come in stacked form
 (``*_stack``), evaluated for a whole (k, M, M) stack of matrices at once
@@ -20,10 +21,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corrmat import (
-    InverseCorrelationMatrix, _check_uniform, _series_values, solve_ones, solve_ones_stack
-)
+from .corrmat import InverseCorrelationMatrix, _series_values, solve_ones, solve_ones_stack
 from .errors import DomainError, InputShapeError
+
+
+def __getattr__(name: str):
+    # m_ef_uniform is imported on first use, so price commands never load binmodel
+    if name == "m_ef_uniform":
+        from .binmodel import m_ef_uniform
+
+        return m_ef_uniform
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _matrix_values(c) -> np.ndarray:
@@ -125,15 +133,6 @@ def m_ef_exact(cinv) -> float:
     if isinstance(cinv, InverseCorrelationMatrix):
         return float(np.sum(cinv.values))
     return float(np.sum(_matrix_values(cinv)))
-
-
-def m_ef_uniform(m: int, c: float) -> float:
-    """Closed form M / (1 + (M-1) C) for uniformly correlated assets.
-
-    Equals M at C=0, 1 at C=1, and tends to 1/C as M grows.
-    """
-    _check_uniform(m, c)
-    return m / (1.0 + (m - 1) * c)
 
 
 def m_ef_exact_stack(a: np.ndarray) -> np.ndarray:
@@ -296,6 +295,8 @@ def effsize_report(
     if m >= 2:
         off = a[~np.eye(m, dtype=bool)]
         if np.ptp(off) <= 1e-12 and 0.0 <= off[0] <= 1.0:
+            from .binmodel import m_ef_uniform
+
             uniform = m_ef_uniform(m, float(off[0]))
 
     sector = m_ef_sector(a, partition) if partition is not None else None

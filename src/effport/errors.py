@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all effport modules."""
+"""Exception hierarchy and output number format shared by all effport modules."""
 
 
 class EffportError(Exception):
@@ -45,3 +45,8 @@ class ParseError(EffportError):
 
 class DataError(EffportError):
     """An input file parsed but its contents violate the data contract."""
+
+
+def fmt_float(x: float) -> str:
+    """Render a float with 10 significant digits (NaN as 'nan')."""
+    return f"{float(x):.10g}"

@@ -17,12 +17,11 @@ uncorrelated total linearly between integer asset counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .binmodel import BinaryModelParams, JointBinaryDistribution, WinCountLaw, win_count_law
-from .corrmat import InverseCorrelationMatrix
 from .errors import (
     BankruptcyError,
     DomainError,
@@ -30,7 +29,10 @@ from .errors import (
     ExtrapolationError,
     InputShapeError,
 )
-from .meanvar import PortfolioWeights
+
+if TYPE_CHECKING:  # the growth solvers (fig1, fig2) need neither module
+    from .corrmat import InverseCorrelationMatrix
+    from .meanvar import PortfolioWeights
 
 #: Safety margin keeping 1 + f * sum(R) positive at the all-losses outcome.
 FEASIBILITY_EPS = 1e-9
@@ -105,6 +107,8 @@ def kelly_first_order(
     S is the entry sum of the inverse. Nonpositive mean returns give all-zero
     weights (abstention); negative components are clipped to zero and flagged.
     """
+    from .meanvar import PortfolioWeights
+
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if mu <= 0.0:

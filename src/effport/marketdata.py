@@ -28,6 +28,7 @@ import numpy as np
 from .corrmat import ReturnSeries, correlation_values
 from .effsize import SectorPartition, m_ef_even_stack, m_ef_exact_stack, m_ef_sector_stack
 from .errors import DataError, DomainError, InputShapeError, ParseError
+from .errors import fmt_float  # noqa: F401  (re-exported; the writer's format)
 
 #: Annualization factor: trading days per year.
 TRADING_DAYS_PER_YEAR = 252
@@ -610,11 +611,6 @@ def partition_for_assets(assets: Sequence[str], sectors: dict[str, str]) -> Sect
     if missing:
         raise InputShapeError(f"sector file misses assets: {', '.join(missing)}")
     return SectorPartition({i: sectors[a] for i, a in enumerate(assets)})
-
-
-def fmt_float(x: float) -> str:
-    """Render a float with 10 significant digits (NaN as 'nan')."""
-    return f"{float(x):.10g}"
 
 
 def panel_from_returns(

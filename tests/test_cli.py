@@ -468,15 +468,22 @@ class TestParserBehavior:
         capsys.readouterr()
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(code: str, *argv: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on this checkout."""
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); " + code
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_cli_import_loads_no_scipy():
     # start-up cost: every fresh CLI process pays for what effport.cli imports
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import effport.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = fresh_python(
+        "import effport.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.strip() == "[]"
 
 
 # each command of the benchmark workloads, on small inputs; {d} is the input directory
@@ -507,18 +514,82 @@ def workload_inputs(tmp_path_factory):
     return d
 
 
+# the effport modules a command runs; each costs a fresh process its compile and import
+PRICE_MODULES = "cli,corrmat,effsize,errors,marketdata"
+GROWTH_MODULES = "binmodel,cli,errors,kelly"
+SUBMODULES = ("binmodel", "cli", "corrmat", "effsize", "errors", "kelly", "marketdata", "meanvar")
+
+
 @pytest.mark.parametrize("name", WORKLOAD_COMMANDS)
 def test_workload_command_imports(name, workload_inputs, capsys):
     # numpy.ma costs a fresh process about 15 ms and 1.2 MB; numpy.random is
     # needed only for subset-curve's draws
     capsys.readouterr()
-    src = Path(__file__).resolve().parent.parent / "src"
     argv = [arg.format(d=workload_inputs) for arg in WORKLOAD_COMMANDS[name]]
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); from effport import cli; "
-        "code = cli.main(sys.argv[1:]); "
-        "sys.stderr.write(f\"{code} {'numpy.ma' in sys.modules} {'numpy.random' in sys.modules}\")"
+    out = fresh_python(
+        "from effport import cli; code = cli.main(sys.argv[1:]); "
+        "ours = sorted(m[8:] for m in sys.modules if m.startswith('effport.')); "
+        "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules, ','.join(ours))",
+        *argv,
     )
-    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                         check=True)
-    assert out.stderr.split()[-3:] == ["0", "False", str(name == "subset-curve")]
+    modules = GROWTH_MODULES if name.startswith("fig") else PRICE_MODULES
+    assert out.split()[-4:] == ["0", "False", str(name == "subset-curve"), modules]
+
+
+def test_package_import_loads_no_submodule():
+    out = fresh_python(
+        "import effport; "
+        "print(sorted(m for m in sys.modules if m.startswith('effport.')), 'numpy' in sys.modules)"
+    )
+    assert out.split() == ["[]", "False"]
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_attribute_lookup_imports_submodule(name):
+    out = fresh_python(
+        "import effport; full = 'effport.' + sys.argv[1]; before = full in sys.modules; "
+        "print(before, getattr(effport, sys.argv[1]) is sys.modules[full])",
+        name,
+    )
+    assert out.split() == ["False", "True"]
+
+
+def test_public_names_resolve_to_their_modules():
+    import effport
+
+    constants = {"ENUMERATION_LIMIT": "effport.binmodel", "MAX_SYMMETRIC_ASSETS": "effport.kelly"}
+    # the 65 names of the library API and its 7 modules
+    assert len(effport.__all__) == len(set(effport.__all__)) == 72
+    for name in effport.__all__:
+        obj = getattr(effport, name)
+        if name in SUBMODULES:
+            assert obj is sys.modules[f"effport.{name}"]
+        else:
+            home = sys.modules[constants.get(name) or obj.__module__]
+            assert obj is getattr(home, name), name
+    assert set(effport.__all__) <= set(dir(effport))
+    with pytest.raises(AttributeError):
+        effport.no_such_name
+
+
+def test_moved_names_stay_the_same_objects():
+    from effport import binmodel, effsize, errors, marketdata
+
+    assert effsize.m_ef_uniform is binmodel.m_ef_uniform
+    assert marketdata.fmt_float is errors.fmt_float is cli.fmt_float
+
+
+def test_readme_quick_tour_runs_as_written():
+    readme = (SRC.parent / "README.md").read_text()
+    tour = readme.split("## Quick tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    out = fresh_python(
+        "exec(sys.argv[1]); "
+        "print(ep.m_ef_uniform(30, 0.322), ep.m_ef_exact(ep.invert(corr)), "
+        "ep.maximize_growth_symmetric(law).total_fraction)",
+        tour,
+    )
+    uniform, exact, total = out.split()
+    assert "ep.m_ef_uniform(30, 0.322)                      # 2.9019..." in tour
+    assert uniform.startswith("2.9019")
+    assert round(float(exact), 2) == 1.04
+    assert round(float(total), 2) == 0.35
