@@ -23,7 +23,9 @@ The sweep covers:
 - sliding at 60/7 and 60/1 on ``data/`` with its first asset's price held
   constant over the dates of exactly one 60/7 window, and at 60/7 and 252/1
   on a panel whose first asset's returns have a mean 200 times their spread;
-- effsize and estimate-corr on ``data/``;
+- effsize and estimate-corr on ``data/``, and on ``data/`` with its first
+  asset's price held constant and its second asset's returns given a mean
+  1e4 times their spread;
 - a seeded 2521 x 100 panel and its index through estimate-corr, effsize,
   variance-ratio, subset-curve and sliding;
 - the refusals of one-asset, underflowing and overflowing panels.
@@ -159,6 +161,20 @@ def sliding_edge_cases(cli, marketdata, np) -> None:
                 ["sliding", "--prices", path, "--window", window, "--step", step])
 
 
+def correlation_edge_cases(cli, marketdata, np) -> None:
+    panel = marketdata.load_prices(DATA / "synthetic_prices.csv")
+    prices = panel.prices.copy()
+    prices[:, 0] = prices[0, 0]
+    # returns of mean 0.002 and spread 2e-7
+    level = 0.002 + 2e-7 * np.random.default_rng(41).standard_normal(len(prices) - 1)
+    prices[1:, 1] = prices[0, 1] * np.cumprod(1.0 + level)
+    marketdata.write_prices_csv(
+        marketdata.PricePanel(panel.dates, panel.assets, prices), "riskfree.csv")
+    record("edge/riskfree.csv", Path("riskfree.csv").read_bytes())
+    run_cli(cli, "edge/estimate-corr-riskfree", ["estimate-corr", "riskfree.csv"])
+    run_cli(cli, "edge/effsize-riskfree", ["effsize", "--prices", "riskfree.csv"])
+
+
 def refusals(cli) -> None:
     Path("one.csv").write_text("date,A\n2020-01-01,1\n2020-01-02,2\n2020-01-03,3\n")
     Path("under.csv").write_text("date,A,B\n2020-01-01,1e20,1\n2020-01-02,1e-5,2\n"
@@ -203,6 +219,7 @@ def main(argv: list[str]) -> int:
         data_commands(cli)
         large_panel(cli, marketdata, np)
         sliding_edge_cases(cli, marketdata, np)
+        correlation_edge_cases(cli, marketdata, np)
         refusals(cli)
         os.chdir(ROOT)
     return 0

@@ -55,9 +55,7 @@ def main(argv: list[str] | None = None) -> None:
             )
             returns.append(DAILY_DRIFT + DAILY_VOL * shock)
 
-    panel = panel_from_returns(
-        np.column_stack(returns), assets=assets, base_price=100.0
-    )
+    panel = panel_from_returns(np.column_stack(returns), assets=assets)
     write_prices_csv(panel, out_dir / "synthetic_prices.csv")
     (out_dir / "synthetic_sectors.csv").write_text(
         "asset,sector\n" + "\n".join(sector_rows) + "\n"

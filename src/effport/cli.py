@@ -88,11 +88,7 @@ def _read_corr_file(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatr
     from . import corrmat, marketdata
 
     with open(path, "r", newline="") as fh:
-        reader = marketdata.csv_rows(fh, delimiter="\t")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file") from None
+        header, table = marketdata.csv_table(fh, delimiter="\t")
         if not header or header[0] != "asset":
             raise ParseError("header must start with an 'asset' column", line=1)
         assets = tuple(header[1:])
@@ -100,13 +96,7 @@ def _read_corr_file(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatr
             raise ParseError("header lists no assets", line=1)
         rows = []
         names = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(assets) + 1:
-                raise ParseError(
-                    f"expected {len(assets) + 1} fields, found {len(row)}", line=lineno
-                )
+        for lineno, row in table(len(assets) + 1):
             names.append(row[0])
             try:
                 rows.append([float(tok) for tok in row[1:]])

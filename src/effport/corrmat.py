@@ -4,7 +4,8 @@ All averages use the population (divide-by-T) convention. The normalization
 cancels inside the correlation quotient for equal-length series, so the choice
 only matters for reported variances; fixing it keeps results bit-reproducible.
 
-A series with exactly zero variance is treated as risk-free and gets
+A series none of whose returns differs from the first (or whose squared
+deviations from its mean sum to zero) is treated as risk-free and gets
 correlation 0 with everything instead of raising.
 
 The effective size 1'C^-1 1 is solved for whole stacks of matrices at once
@@ -163,7 +164,7 @@ class InverseCorrelationMatrix:
 def pearson(x, y) -> float:
     """Pearson correlation of two equal-length return series.
 
-    Returns 0.0 when either series has zero variance (risk-free convention).
+    Returns 0.0 when either series is risk-free (see the module docstring).
 
     Parameters
     ----------
@@ -182,23 +183,47 @@ def correlation_values(returns: np.ndarray) -> np.ndarray:
     """Pairwise Pearson correlations of the columns of a (T, M) return matrix.
 
     Array-in/array-out core of :func:`estimate_matrix`, :func:`pearson` and
-    the price-panel commands. Zero-variance columns get 0 off the diagonal.
+    the price-panel commands: the one-window case of :func:`_to_correlations`.
+    A risk-free column gets 0 off the diagonal.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 1:
         raise InputShapeError(f"need a (T>=2, M>=1) return matrix, got shape {r.shape}")
-    z = r - r.mean(axis=0)
-    cross = z.T @ z
-    z *= z
-    sd = np.sqrt(np.mean(z, axis=0))
-    riskfree = (np.ptp(r, axis=0) == 0.0) | (sd == 0.0)
-    denom = np.where(riskfree, 1.0, sd)
-    corr = cross / r.shape[0] / np.outer(denom, denom)
-    corr[riskfree, :] = 0.0
-    corr[:, riskfree] = 0.0
-    corr = np.clip(0.5 * (corr + corr.T), -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return corr
+    cross, sums = np.empty((1, r.shape[1], r.shape[1])), np.empty((1, r.shape[1]))
+    _centred_sums(r, cross[0], sums[0])
+    return _to_correlations(cross, sums, r.shape[0], (r != r[0]).any(axis=0)[None])[0]
+
+
+def _centred_sums(window: np.ndarray, cross: np.ndarray, sums: np.ndarray) -> None:
+    """Cross-product and column sums of a window's returns about their column means."""
+    centred = window - window.mean(axis=0)
+    np.matmul(centred.T, centred, out=cross)
+    centred.sum(axis=0, out=sums)
+
+
+def _to_correlations(cross: np.ndarray, sums: np.ndarray, rows: int, varying: np.ndarray):
+    """Correlations, in place of ``cross``, from the (k, M, M) cross-product
+    sums and (k, M) column sums of ``rows`` shifted returns, by the corrected
+    two-pass formula (Chan, Golub & LeVeque 1983). A column that is not
+    ``varying``, or has no positive variance, is risk-free: correlation 0.
+    The upper triangle mirrors the lower one, so each matrix is exactly
+    symmetric."""
+    # outer products by einsum: broadcasting (k, M, 1) against (k, 1, M) took
+    # 2.5 times as long at k = 81, M = 40
+    scaled = sums / math.sqrt(rows)
+    outer = np.einsum("ki,kj->kij", scaled, scaled)
+    cross -= outer
+    centred_squares = cross.diagonal(axis1=1, axis2=2)
+    live = varying & (centred_squares > 0.0)
+    scale = 1.0 / np.sqrt(np.where(live, centred_squares, np.inf))
+    cross *= np.einsum("ki,kj->kij", scale, scale, out=outer)
+    del outer
+    upper = np.triu_indices(cross.shape[1], 1)
+    cross[:, upper[0], upper[1]] = cross[:, upper[1], upper[0]]
+    np.clip(cross, -1.0, 1.0, out=cross)
+    diagonal = np.arange(cross.shape[1])
+    cross[:, diagonal, diagonal] = 1.0
+    return cross
 
 
 def estimate_matrix(panel: Sequence) -> CorrelationMatrix:

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corrmat import InverseCorrelationMatrix, _series_values, solve_ones, solve_ones_stack
+from .corrmat import SummaryStats, _series_values, solve_ones, solve_ones_stack
 from .errors import DomainError, InputShapeError
 
 
@@ -130,8 +130,6 @@ def m_ef_exact(cinv) -> float:
     ----------
     cinv : InverseCorrelationMatrix or square array holding the inverse.
     """
-    if isinstance(cinv, InverseCorrelationMatrix):
-        return float(np.sum(cinv.values))
     return float(np.sum(_matrix_values(cinv)))
 
 
@@ -250,10 +248,10 @@ def m_ef_variance_ratio(index_returns, constituents: Sequence) -> float:
     cols = [_series_values(s) for s in constituents]
     if any(c.size != idx.size for c in cols):
         raise InputShapeError("constituent series must cover the same periods as the index")
-    idx_var = float(np.mean((idx - idx.mean()) ** 2))
+    idx_var = SummaryStats.of(idx).variance
     if idx_var == 0.0:
         raise DomainError("index returns have zero variance")
-    mean_var = float(np.mean([np.mean((c - c.mean()) ** 2) for c in cols]))
+    mean_var = float(np.mean([SummaryStats.of(c).variance for c in cols]))
     return mean_var / idx_var
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corrmat import ReturnSeries, correlation_values
+from .corrmat import ReturnSeries, _centred_sums, _to_correlations, correlation_values
 from .effsize import SectorPartition, m_ef_even_stack, m_ef_exact_stack, m_ef_sector_stack
 from .errors import DataError, DomainError, InputShapeError, ParseError
 from .errors import fmt_float  # noqa: F401  (re-exported; the writer's format)
@@ -148,14 +148,41 @@ def _open_text(source):
     return open(source, "r", newline=""), True
 
 
-def csv_rows(fh, delimiter: str = ","):
-    """Rows of ``csv.reader``; a csv.Error (such as a field longer than
-    ``csv.field_size_limit()``) becomes a ParseError naming the line."""
+def csv_table(fh, delimiter: str = ","):
+    """The header row of a delimited table and a generator function ``rows``.
+
+    ``rows(width)`` yields ``(line, row)`` for each nonblank row after the
+    header and raises ParseError, naming the line, for a row that does not
+    hold ``width`` fields, and at the end if it yielded nothing. An empty file
+    raises ParseError, and so does a csv.Error (such as a field longer than
+    ``csv.field_size_limit()``), naming the line.
+    """
     reader = csv.reader(fh, delimiter=delimiter)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
+
+    def read():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
+
+    records = read()
+    header = next(records, None)
+    if header is None:
+        raise ParseError("empty file")
+
+    def rows(width: int):
+        found = False
+        for line, row in enumerate(records, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, found {len(row)}", line=line)
+            found = True
+            yield line, row
+        if not found:
+            raise ParseError("file holds no data rows")
+
+    return header, rows
 
 
 def load_prices(source) -> PricePanel:
@@ -259,22 +286,12 @@ def _load_block(fh) -> PricePanel:
 
 def _load_rows(fh) -> PricePanel:
     """Row-by-row reader: handles missing quotes and builds every load error."""
-    reader = csv_rows(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file") from None
+    header, table = csv_table(fh)
     assets = _header_assets(header)
 
     dates: list[str] = []
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(assets) + 1:
-            raise ParseError(
-                f"expected {len(assets) + 1} fields, found {len(row)}", line=lineno
-            )
+    for lineno, row in table(len(assets) + 1):
         token = row[0].strip()
         try:
             # fromisoformat alone also takes 20080103 on Python >= 3.11
@@ -305,8 +322,6 @@ def _load_rows(fh) -> PricePanel:
         dates.append(token)
         rows.append(values)
 
-    if not rows:
-        raise ParseError("file holds no data rows")
     prices = np.asarray(rows, dtype=float)
     complete = ~np.any(np.isnan(prices), axis=0)
     dropped = tuple(a for a, keep in zip(assets, complete) if not keep)
@@ -337,11 +352,7 @@ def compute_returns(panel: PricePanel) -> list[ReturnSeries]:
     return [ReturnSeries(asset, rets[:, j]) for j, asset in enumerate(panel.assets)]
 
 
-def sliding_window_effsize(
-    panel: PricePanel,
-    window: WindowSpec,
-    trading_days_per_year: int = TRADING_DAYS_PER_YEAR,
-) -> list[WindowPoint]:
+def sliding_window_effsize(panel: PricePanel, window: WindowSpec) -> list[WindowPoint]:
     """Time series of effective size and annualized mean return per window.
 
     Window k covers the prices at dates [k*step, k*step + length); the
@@ -361,7 +372,7 @@ def sliding_window_effsize(
     ])
     return [
         WindowPoint(
-            panel.dates[s + rows], m, trading_days_per_year * float(returns[s : s + rows].mean())
+            panel.dates[s + rows], m, TRADING_DAYS_PER_YEAR * float(returns[s : s + rows].mean())
         )
         for s, m in zip(range(0, t - rows, window.step), m_ef.tolist())
     ]
@@ -394,7 +405,8 @@ def _window_correlations(returns: np.ndarray, rows: int, step: int):
     ``_CANCELLATION`` times its square sum about the window's mean, as the
     rounding of the running sums grows with the former. A column is
     risk-free (correlation 0) in a window where none of its returns differs
-    from the one before. No result depends on the stack length.
+    from the one before; :func:`~effport.corrmat._to_correlations` turns the
+    sums into correlations. No result depends on the stack length.
     """
     t, m = returns.shape
     starts = np.arange(0, t - rows + 1, step)
@@ -404,9 +416,6 @@ def _window_correlations(returns: np.ndarray, rows: int, step: int):
     # counts below, takes no more than _STACK_BYTES either
     offsets = np.r_[rows - step : rows, -step:0]
     k = min(_stack_len(m), max(1, _STACK_BYTES // (16 * step * m)))
-    # the entries that mirror the lower triangle, so that each matrix is
-    # exactly symmetric
-    upper = np.triu_indices(m, 1)
 
     def window(w):
         return returns[starts[w] : starts[w] + rows]
@@ -461,36 +470,7 @@ def _window_correlations(returns: np.ndarray, rows: int, step: int):
         lossy = varying & (peak > _CANCELLATION * (square_sums - sums**2 / rows))
         for j in np.flatnonzero(lossy.any(axis=1)):
             _centred_sums(window(first + j), cross[j], sums[j])
-        yield _to_correlations(cross, sums, rows, varying, upper)
-
-
-def _centred_sums(window: np.ndarray, cross: np.ndarray, sums: np.ndarray) -> None:
-    """Cross-product and column sums of a window's returns about their column means."""
-    centred = window - window.mean(axis=0)
-    np.matmul(centred.T, centred, out=cross)
-    centred.sum(axis=0, out=sums)
-
-
-def _to_correlations(cross: np.ndarray, sums: np.ndarray, rows: int, varying: np.ndarray, upper):
-    """Correlations, in place of ``cross``, from the (k, M, M) cross-product
-    sums and (k, M) column sums of ``rows`` shifted returns; a column that is
-    not ``varying``, or has no positive variance, gets correlation 0. The
-    entries at ``upper``, ``np.triu_indices(M, 1)``, mirror the lower ones."""
-    # outer products by einsum: broadcasting (k, M, 1) against (k, 1, M) took
-    # 2.5 times as long at k = 81, M = 40
-    scaled = sums / math.sqrt(rows)
-    outer = np.einsum("ki,kj->kij", scaled, scaled)
-    cross -= outer
-    centred_squares = cross.diagonal(axis1=1, axis2=2)
-    live = varying & (centred_squares > 0.0)
-    scale = 1.0 / np.sqrt(np.where(live, centred_squares, np.inf))
-    cross *= np.einsum("ki,kj->kij", scale, scale, out=outer)
-    del outer
-    cross[:, upper[0], upper[1]] = cross[:, upper[1], upper[0]]
-    np.clip(cross, -1.0, 1.0, out=cross)
-    diagonal = np.arange(cross.shape[1])
-    cross[:, diagonal, diagonal] = 1.0
-    return cross
+        yield _to_correlations(cross, sums, rows, varying)
 
 
 def _draw_subsets(rng: np.random.Generator, universe: int, size: int, count: int) -> np.ndarray:
@@ -578,19 +558,11 @@ def load_sectors(source) -> dict[str, str]:
     """Load an asset-to-sector map from a two-column CSV with header."""
     fh, owns = _open_text(source)
     try:
-        reader = csv_rows(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file") from None
+        header, table = csv_table(fh)
         if [h.strip() for h in header[:2]] != ["asset", "sector"]:
             raise ParseError("header must be 'asset,sector'", line=1)
         mapping: dict[str, str] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, found {len(row)}", line=lineno)
+        for lineno, row in table(2):
             asset, sector = row[0].strip(), row[1].strip()
             if not asset or not sector:
                 raise ParseError("empty asset or sector name", line=lineno)
@@ -600,8 +572,6 @@ def load_sectors(source) -> dict[str, str]:
     finally:
         if owns:
             fh.close()
-    if not mapping:
-        raise ParseError("file holds no data rows")
     return mapping
 
 
@@ -616,16 +586,14 @@ def partition_for_assets(assets: Sequence[str], sectors: dict[str, str]) -> Sect
 def panel_from_returns(
     returns: np.ndarray,
     assets: Sequence[str] | None = None,
-    base_price: float = 100.0,
     scale: float = 1.0,
-    start: datetime.date = datetime.date(2000, 1, 3),
 ) -> PricePanel:
     """Build a synthetic price panel by compounding a (T, M) return matrix.
 
     Lets sampled return matrices (e.g. from the hidden-asset model) reuse the
     price-panel pipeline; ``scale`` shrinks unit-size returns to price-like
-    magnitudes without touching their correlations. Dates are consecutive
-    calendar days from ``start``.
+    magnitudes without touching their correlations. Prices start at 100 and
+    dates are consecutive calendar days from 2000-01-03.
     """
     r = np.array(returns, dtype=float)
     r *= scale
@@ -637,13 +605,13 @@ def panel_from_returns(
     if len(assets) != m:
         raise InputShapeError(f"{len(assets)} asset names for {m} columns")
     prices = np.empty((t + 1, m))
-    prices[0] = base_price
-    # in place, and bitwise equal to base_price * np.cumprod(1.0 + r, axis=0)
+    prices[0] = 100.0
+    # in place, and bitwise equal to 100.0 * np.cumprod(1.0 + r, axis=0)
     r += 1.0
     np.cumprod(r, axis=0, out=prices[1:])
-    prices[1:] *= base_price
+    prices[1:] *= prices[0]
     prices.flags.writeable = False
-    origin = start.toordinal()
+    origin = datetime.date(2000, 1, 3).toordinal()
     dates = tuple(
         datetime.date.fromordinal(origin + i).isoformat() for i in range(t + 1)
     )

@@ -230,12 +230,16 @@ def test_rolling_correlations_match_each_window(t, m, rows, step, seed, flat, bu
         patch.setattr(marketdata, "_STACK_BYTES", budget)
         got = np.concatenate([c.copy() for c in marketdata._window_correlations(returns, rows, step)])
     assert len(got) == count
+    restart = marketdata._RESTART_WINDOWS if 2 * step < rows else 1
     for w, corr in enumerate(got):
         want = correlation_values(returns[w * step : w * step + rows])
         assert np.array_equal(corr, corr.T)
         np.testing.assert_allclose(corr, want, rtol=0.0, atol=1e-13)
         # the risk-free convention is decided exactly, not on rounded sums
         assert np.array_equal(corr == 0.0, want == 0.0)
+        # a window summed alone goes through the same Pearson core
+        if w % restart == 0:
+            assert np.array_equal(corr, want)
 
 
 def test_long_run_of_windows_stays_close(bundled):

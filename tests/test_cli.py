@@ -153,6 +153,14 @@ class TestEffsize:
         assert code == 2
         assert "line 3" in err and "field larger than field limit" in err
 
+    def test_corr_file_without_rows_exits_2(self, tmp_path, capsys):
+        corr = tmp_path / "corr.tsv"
+        corr.write_text("asset\tA\tB\n\n")
+        code, stdout, err = run(["effsize", "--corr", str(corr)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "file holds no data rows" in err
+
     def test_duplicated_assets_exit_3(self, tmp_path, capsys):
         corr = tmp_path / "corr.tsv"
         write_corr_file(corr, np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,32 @@ class TestEstimateMatrix:
         c = estimate_matrix([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [0.2, 0.1, -0.1]])
         assert np.allclose(c.values[0, 1:], 0.0)
         assert c.values[0, 0] == 1.0
+
+
+def exact_pearson(x, y) -> float:
+    """Pearson correlation of two float series in exact rational arithmetic,
+    rounded once at the end; 0 where either series is constant."""
+    fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(fx, fy))
+    sxx = sum((a - mx) ** 2 for a in fx)
+    syy = sum((b - my) ** 2 for b in fy)
+    if sxx == 0 or syy == 0:
+        return 0.0
+    return math.copysign(math.sqrt(float(sxy * sxy / (sxx * syy))), sxy)
+
+
+def test_correlation_values_match_exact_pearson():
+    # column 0 has a mean 1e10 times its spread; column 2 varies by one ulp
+    z = np.random.default_rng(7).standard_normal((60, 2))
+    r = np.column_stack([
+        0.01 + 1e-12 * z[:, 0],
+        0.01 * (z[:, 0] + z[:, 1]),
+        np.where(z[:, 0] > 0.0, np.nextafter(0.001, 1.0), 0.001),
+    ])
+    want = np.array([[exact_pearson(r[:, i], r[:, j]) if i != j else 1.0 for j in range(3)]
+                     for i in range(3)])
+    np.testing.assert_allclose(correlation_values(r), want, rtol=1e-14, atol=0.0)
 
 
 class TestInvert:
