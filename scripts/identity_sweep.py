@@ -28,7 +28,9 @@ The sweep covers:
   1e4 times their spread;
 - a seeded 2521 x 100 panel and its index through estimate-corr, effsize,
   variance-ratio, subset-curve and sliding;
-- the refusals of one-asset, underflowing and overflowing panels.
+- the refusals of one-asset, underflowing and overflowing panels;
+- the refusals of flag values by fig1, fig2, subset-curve and sliding (exit
+  1), and of a subset size above the universe of ``data/`` (exit 2).
 """
 
 from __future__ import annotations
@@ -196,6 +198,35 @@ def refusals(cli) -> None:
             ["subset-curve", "--prices", "over.csv", "--sizes", "2"])
 
 
+def flag_refusals(cli) -> None:
+    prices = ["--prices", str(DATA / "synthetic_prices.csv")]
+    above_cap = "2001"  # one above the asset cap of the growth solvers
+    cases = {
+        "fig1-p-half": ["fig1", "--p-list", "0.5"],
+        "fig1-p-one": ["fig1", "--p-list", "0.55,1"],
+        "fig1-p-parse": ["fig1", "--p-list", "0.55,x"],
+        "fig1-c": ["fig1", "--c-grid", "0,1.5"],
+        "fig1-m-zero": ["fig1", "--m", "0"],
+        "fig1-m-zero-empty-grid": ["fig1", "--m", "0", "--c-grid", ","],
+        "fig1-m-cap": ["fig1", "--m", above_cap],
+        "fig2-p-zero": ["fig2", "--p", "0"],
+        "fig2-p-one": ["fig2", "--p", "1"],
+        "fig2-c-true": ["fig2", "--c-true", "1.5"],
+        "fig2-c-grid": ["fig2", "--c-grid", "0.1,1.2"],
+        "fig2-m-zero": ["fig2", "--m", "0"],
+        "fig2-m-cap": ["fig2", "--m", above_cap],
+        "subset-sizes-empty": ["subset-curve", *prices, "--sizes", ""],
+        "subset-size-one": ["subset-curve", *prices, "--sizes", "5,1"],
+        "subset-sizes-parse": ["subset-curve", *prices, "--sizes", "2,x"],
+        "subset-draws-zero": ["subset-curve", *prices, "--sizes", "2", "--draws", "0"],
+        "subset-size-above-universe": ["subset-curve", *prices, "--sizes", "2,41"],
+        "sliding-window-short": ["sliding", *prices, "--window", "10"],
+        "sliding-step-zero": ["sliding", *prices, "--step", "0"],
+    }
+    for name, argv in cases.items():
+        run_cli(cli, f"refuse/flags-{name}", argv)
+
+
 def main(argv: list[str]) -> int:
     global DUMP
     if argv[:1] == ["--dump"] and len(argv) == 3:
@@ -221,6 +252,7 @@ def main(argv: list[str]) -> int:
         sliding_edge_cases(cli, marketdata, np)
         correlation_edge_cases(cli, marketdata, np)
         refusals(cli)
+        flag_refusals(cli)
         os.chdir(ROOT)
     return 0
 

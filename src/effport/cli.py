@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -53,18 +54,26 @@ def _require(condition: bool, message: str) -> None:
         raise _UsageError(message)
 
 
-def _float_list(text: str) -> list[float]:
+@contextmanager
+def _flags():
+    """Report a library refusal of a flag value as a usage error."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"cannot parse float list {text!r}") from None
+        yield
+    except (DomainError, EnumerationLimitError) as exc:
+        raise _UsageError(str(exc)) from None
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(text: str, kind=float) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise _UsageError(f"cannot parse integer list {text!r}") from None
+        name = "integer" if kind is int else "float"
+        raise _UsageError(f"cannot parse {name} list {text!r}") from None
+
+
+def _c_grid(text: str | None, points: int) -> list[float]:
+    """The correlations of ``--c-grid``, or by default the first ``points`` of 0, 0.05, ..."""
+    return _number_list(text) if text else [round(0.05 * i, 10) for i in range(points)]
 
 
 def _write_table(out_path: str | None, header: Sequence[str], rows: Iterable[Sequence[str]]):
@@ -183,23 +192,22 @@ def _cmd_effsize(args) -> int:
 def _cmd_subset_curve(args) -> int:
     from . import marketdata
 
-    sizes = _int_list(args.sizes)
-    _require(len(sizes) >= 1, "--sizes must list at least one portfolio size")
-    _require(all(s >= 2 for s in sizes), "every portfolio size must be >= 2")
-    _require(args.draws >= 1, "--draws must be >= 1")
+    with _flags():
+        spec = marketdata.SubsetCurveSpec(
+            sizes=tuple(_number_list(args.sizes, int)), draws=args.draws, seed=args.seed
+        )
     panel = _load_panel(args.prices)
     partition = (
         marketdata.partition_for_assets(panel.assets, marketdata.load_sectors(args.sectors))
         if args.sectors
         else None
     )
-    spec = marketdata.SubsetCurveSpec(sizes=tuple(sizes), draws=args.draws, seed=args.seed)
     points = marketdata.subset_curve(panel, spec, partition)
     total_skipped = sum(pt.skipped for pt in points)
-    if total_skipped > 0.01 * args.draws * len(sizes):
+    if total_skipped > 0.01 * spec.draws * len(spec.sizes):
         print(
             f"warning: skipped {total_skipped} singular subset draws "
-            f"out of {args.draws * len(sizes)}",
+            f"out of {spec.draws * len(spec.sizes)}",
             file=sys.stderr,
         )
     rows = [
@@ -214,10 +222,8 @@ def _cmd_sliding(args) -> int:
     from . import marketdata
 
     length = marketdata.TRADING_DAYS_PER_YEAR if args.window is None else args.window
-    try:
+    with _flags():
         window = marketdata.WindowSpec(length=length, step=args.step)
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from None
     panel = _load_panel(args.prices)
     points = marketdata.sliding_window_effsize(panel, window)
     nan_windows = sum(np.isnan(pt.m_ef) for pt in points)
@@ -235,28 +241,15 @@ def _cmd_sliding(args) -> int:
 def _cmd_fig1(args) -> int:
     from . import binmodel, kelly
 
-    _require(1 <= args.m <= kelly.MAX_SYMMETRIC_ASSETS,
-             f"--m must lie in [1, {kelly.MAX_SYMMETRIC_ASSETS}]")
-    p_values = _float_list(args.p_list)
-    c_grid = _float_list(args.c_grid) if args.c_grid else [round(0.05 * i, 10) for i in range(21)]
-    _require(all(0.5 < p < 1.0 for p in p_values),
-             "every win probability must lie in (0.5, 1)")
-    _require(all(0.0 <= c <= 1.0 for c in c_grid), "every correlation must lie in [0, 1]")
+    p_values = _number_list(args.p_list)
+    c_grid = _c_grid(args.c_grid, 21)
     rows = []
-    for p in p_values:
-        totals = kelly.uncorrelated_total_curve(args.m, p)
-        for c in c_grid:
-            law = binmodel.win_count_law(binmodel.BinaryModelParams(args.m, p, c))
-            target = kelly.maximize_growth_symmetric(law).total_fraction
-            numeric = kelly.invert_total_curve(totals, target)
-            rows.append(
-                [
-                    fmt_float(p),
-                    fmt_float(c),
-                    fmt_float(binmodel.m_ef_uniform(args.m, c)),
-                    fmt_float(numeric),
-                ]
-            )
+    with _flags():
+        for p in p_values:
+            numeric = kelly.m_ef_kelly_numeric_grid(args.m, p, c_grid)
+            for c, value in zip(c_grid, numeric):
+                approx = binmodel.m_ef_uniform(args.m, c)
+                rows.append([fmt_float(p), fmt_float(c), fmt_float(approx), fmt_float(value)])
     _write_table(args.out, ["p", "C", "m_ef_approx", "m_ef_numeric"], rows)
     return EXIT_OK
 
@@ -264,15 +257,9 @@ def _cmd_fig1(args) -> int:
 def _cmd_fig2(args) -> int:
     from . import kelly
 
-    _require(1 <= args.m <= kelly.MAX_SYMMETRIC_ASSETS,
-             f"--m must lie in [1, {kelly.MAX_SYMMETRIC_ASSETS}]")
-    _require(0.0 < args.p < 1.0, "--p must lie in (0, 1)")
-    _require(0.0 <= args.c_true <= 1.0, "--c-true must lie in [0, 1]")
-    c_grid = (
-        _float_list(args.c_grid) if args.c_grid else [round(0.05 * i, 10) for i in range(13)]
-    )
-    _require(all(0.0 <= c <= 1.0 for c in c_grid), "every correlation must lie in [0, 1]")
-    results = kelly.misestimation_experiment(args.m, args.p, args.c_true, c_grid)
+    c_grid = _c_grid(args.c_grid, 13)
+    with _flags():
+        results = kelly.misestimation_experiment(args.m, args.p, args.c_true, c_grid)
     rows = [[fmt_float(r.c_assumed), fmt_float(r.g_realized)] for r in results]
     _write_table(args.out, ["C_assumed", "G_realized"], rows)
     return EXIT_OK

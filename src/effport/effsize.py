@@ -120,7 +120,6 @@ class EffSizeReport:
     m_even: float
     m_uniform: float | None = None
     m_sector: float | None = None
-    m_variance_ratio: float | None = None
 
 
 def m_ef_exact(cinv) -> float:
@@ -270,18 +269,12 @@ def inverse_participation_ratio(weights) -> float:
     return 1.0 / ss
 
 
-def effsize_report(
-    c,
-    partition: SectorPartition | None = None,
-    index_returns=None,
-    constituents: Sequence | None = None,
-) -> EffSizeReport:
+def effsize_report(c, partition: SectorPartition | None = None) -> EffSizeReport:
     """Compute every applicable effective-size estimate for one matrix.
 
     The uniform closed form is filled in only when all off-diagonal entries
-    coincide; the sector estimate needs a partition; the variance ratio needs
-    an index series plus its constituents. Raises NearSingularError when
-    :func:`~effport.corrmat.solve_ones` refuses the matrix, naming
+    coincide; the sector estimate needs a partition. Raises NearSingularError
+    when :func:`~effport.corrmat.solve_ones` refuses the matrix, naming
     lambda_min for one that is not positive definite.
     """
     a = _matrix_values(c)
@@ -298,14 +291,4 @@ def effsize_report(
             uniform = m_ef_uniform(m, float(off[0]))
 
     sector = m_ef_sector(a, partition) if partition is not None else None
-    ratio = None
-    if index_returns is not None and constituents is not None:
-        ratio = m_ef_variance_ratio(index_returns, constituents)
-    return EffSizeReport(
-        m=m,
-        m_exact=exact,
-        m_even=even,
-        m_uniform=uniform,
-        m_sector=sector,
-        m_variance_ratio=ratio,
-    )
+    return EffSizeReport(m=m, m_exact=exact, m_even=even, m_uniform=uniform, m_sector=sector)

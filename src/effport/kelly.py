@@ -44,12 +44,11 @@ MAX_SYMMETRIC_ASSETS = 2000
 
 @dataclass(frozen=True)
 class GrowthResult:
-    """Optimal fraction per asset, growth rate at the optimum, and method tag."""
+    """Optimal fraction per asset, growth rate and total fraction at the optimum."""
 
     f_star: float
     g_star: float
     total_fraction: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def maximize_growth_symmetric(law: WinCountLaw) -> GrowthResult:
     """
     sums, probs = law.sums, law.probs
     if float(probs @ sums) <= (law.m + 1) * np.finfo(float).eps * float(probs @ np.abs(sums)):
-        return GrowthResult(f_star=0.0, g_star=0.0, total_fraction=0.0, method="numeric-exact")
+        return GrowthResult(f_star=0.0, g_star=0.0, total_fraction=0.0)
     upper = (1.0 - FEASIBILITY_EPS) / law.m
     lo, hi = 0.0, upper
     # the loop is skipped when G still rises at the bound
@@ -164,13 +163,8 @@ def maximize_growth_symmetric(law: WinCountLaw) -> GrowthResult:
     g_star = float(probs @ np.log1p(f * sums))
     if g_star <= 0.0:
         # abstention is always feasible and gives exactly zero growth
-        return GrowthResult(f_star=0.0, g_star=0.0, total_fraction=0.0, method="numeric-exact")
-    return GrowthResult(
-        f_star=f,
-        g_star=g_star,
-        total_fraction=law.m * f,
-        method="numeric-exact",
-    )
+        return GrowthResult(f_star=0.0, g_star=0.0, total_fraction=0.0)
+    return GrowthResult(f_star=f, g_star=g_star, total_fraction=law.m * f)
 
 
 def uncorrelated_total_curve(m: int, p: float) -> np.ndarray:
@@ -202,19 +196,28 @@ def invert_total_curve(totals: np.ndarray, target: float) -> float:
     return float(np.interp(min(max(target, lo), hi), totals, grid))
 
 
-def m_ef_kelly_numeric(m: int, p: float, c: float) -> float:
+def m_ef_kelly_numeric_grid(m: int, p: float, c_grid: Sequence[float]) -> list[float]:
     """Effective size from exact growth maximization and total-fraction matching.
 
-    Solves sum f*(M, C) = m_ef * f*(m_ef, uncorrelated) for m_ef in [1, M].
-    Needs p > 1/2: below that nothing is invested on either side and the
-    matching equation is degenerate.
+    Solves sum f*(M, C) = m_ef * f*(m_ef, uncorrelated) for m_ef in [1, M] at
+    every C of ``c_grid``, against one uncorrelated curve. Needs p > 1/2:
+    below that nothing is invested on either side and the matching equation
+    is degenerate. Every refusal comes before any law is built.
     """
-    params = BinaryModelParams(m, p, c)
+    BinaryModelParams(m, p, 0.0)  # refuses M and p even for an empty grid
+    params = [BinaryModelParams(m, p, c) for c in c_grid]
     if p <= 0.5:
         raise DomainError(f"win probability must exceed 1/2, got {p}")
     totals = uncorrelated_total_curve(m, p)
-    target = maximize_growth_symmetric(win_count_law(params)).total_fraction
-    return invert_total_curve(totals, target)
+    return [
+        invert_total_curve(totals, maximize_growth_symmetric(win_count_law(q)).total_fraction)
+        for q in params
+    ]
+
+
+def m_ef_kelly_numeric(m: int, p: float, c: float) -> float:
+    """:func:`m_ef_kelly_numeric_grid` at the one correlation ``c``."""
+    return m_ef_kelly_numeric_grid(m, p, [c])[0]
 
 
 def misestimation_experiment(
@@ -224,18 +227,20 @@ def misestimation_experiment(
 
     For each assumed value, the symmetric optimum is computed under the wrong
     model and then evaluated under the true one. The realized curve peaks at
-    the true correlation.
+    the true correlation. Every refusal comes before any law is built.
     """
     _check_asset_count(m)
-    true_law = win_count_law(BinaryModelParams(m, p, c_true))
+    true_params = BinaryModelParams(m, p, c_true)
+    params = [BinaryModelParams(m, p, c) for c in c_assumed_grid]
+    true_law = win_count_law(true_params)
     results: list[MisestimationResult] = []
-    for c_assumed in c_assumed_grid:
-        assumed = maximize_growth_symmetric(win_count_law(BinaryModelParams(m, p, c_assumed)))
+    for q in params:
+        assumed = maximize_growth_symmetric(win_count_law(q))
         realized = _expected_log_wealth(true_law.probs, assumed.f_star * true_law.sums)
         results.append(
             MisestimationResult(
                 c_true=float(c_true),
-                c_assumed=float(c_assumed),
+                c_assumed=float(q.c),
                 f_assumed=assumed.f_star,
                 g_realized=realized,
             )

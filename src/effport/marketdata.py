@@ -370,11 +370,15 @@ def sliding_window_effsize(panel: PricePanel, window: WindowSpec) -> list[Window
     m_ef = np.concatenate([
         m_ef_exact_stack(corrs) for corrs in _window_correlations(returns, rows, window.step)
     ])
+    # a window's returns are one contiguous run of the flattened matrix, so
+    # summing each run equals the window's own .mean() bit for bit
+    cells = rows * panel.n_assets
+    means = np.lib.stride_tricks.sliding_window_view(returns.reshape(-1), cells)[
+        :: window.step * panel.n_assets
+    ].sum(axis=1) / cells
     return [
-        WindowPoint(
-            panel.dates[s + rows], m, TRADING_DAYS_PER_YEAR * float(returns[s : s + rows].mean())
-        )
-        for s, m in zip(range(0, t - rows, window.step), m_ef.tolist())
+        WindowPoint(panel.dates[s + rows], m, TRADING_DAYS_PER_YEAR * mean)
+        for s, m, mean in zip(range(0, t - rows, window.step), m_ef.tolist(), means.tolist())
     ]
 
 
@@ -559,7 +563,7 @@ def load_sectors(source) -> dict[str, str]:
     fh, owns = _open_text(source)
     try:
         header, table = csv_table(fh)
-        if [h.strip() for h in header[:2]] != ["asset", "sector"]:
+        if [h.strip() for h in header] != ["asset", "sector"]:
             raise ParseError("header must be 'asset,sector'", line=1)
         mapping: dict[str, str] = {}
         for lineno, row in table(2):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from effport import cli
+from effport import cli, kelly
 from effport.corrmat import uniform_matrix
 from effport.kelly import MAX_SYMMETRIC_ASSETS
 from effport.marketdata import fmt_float, panel_from_returns, write_prices_csv
@@ -25,6 +25,18 @@ def write_corr_file(path, values, assets=None):
         lines.append("\t".join([name, *[fmt_float(v) for v in row]]))
     path.write_text("\n".join(lines) + "\n")
     return assets
+
+
+def assert_usage_error(code, stdout, stderr, message):
+    """Exit 1 with nothing on stdout and the library's message on stderr."""
+    assert (code, stdout) == (1, "")
+    assert stderr == f"effport: error: {message}\n"
+
+
+CAP_MESSAGE = (
+    f"the symmetric growth solvers support at most {MAX_SYMMETRIC_ASSETS} assets, "
+    f"got {MAX_SYMMETRIC_ASSETS + 1}"
+)
 
 
 def parse_table(text):
@@ -213,6 +225,27 @@ class TestSubsetCurve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--sizes", ""], "need at least one portfolio size"),
+        (["--sizes", "5,1"], "every portfolio size must be >= 2, got (5, 1)"),
+        (["--sizes", "2", "--draws", "0"], "draws must be >= 1, got 0"),
+    ])
+    def test_flag_refusals_exit_1(self, flags, message, sample_prices_path, capsys):
+        argv = ["subset-curve", "--prices", str(sample_prices_path), *flags]
+        assert_usage_error(*run(argv, capsys), message)
+
+    def test_flags_checked_before_the_panel_is_read(self, tmp_path, capsys):
+        argv = ["subset-curve", "--prices", str(tmp_path / "absent.csv"), "--sizes", "1"]
+        assert_usage_error(*run(argv, capsys), "every portfolio size must be >= 2, got (1,)")
+
+    def test_size_above_universe_exits_2(self, sample_prices_path, capsys):
+        code, stdout, stderr = run(
+            ["subset-curve", "--prices", str(sample_prices_path), "--sizes", "2,41",
+             "--draws", "5"], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert "portfolio size 41 exceeds the 40-asset universe" in stderr
+
 
 class TestSliding:
     def test_table(self, small_panel_path, capsys):
@@ -250,6 +283,10 @@ class TestSliding:
             ["sliding", "--prices", str(small_panel_path), "--window", "10"], capsys
         )
         assert code == 1
+
+    def test_step_zero_exit_1(self, small_panel_path, capsys):
+        argv = ["sliding", "--prices", str(small_panel_path), "--step", "0"]
+        assert_usage_error(*run(argv, capsys), "window step must be >= 1, got 0")
 
     def test_window_longer_than_panel_exit_2(self, small_panel_path, capsys):
         code, _, _ = run(
@@ -289,6 +326,18 @@ class TestFig1:
         code, _, _ = run(["fig1", "--m", str(MAX_SYMMETRIC_ASSETS + 1)], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--p-list", "0.5"], "win probability must exceed 1/2, got 0.5"),
+        (["--p-list", "0.55,1"], "win probability must lie in (0, 1), got 1.0"),
+        (["--c-grid", "0,1.5"], "correlation must lie in [0, 1], got 1.5"),
+        (["--c-grid", "-0.05"], "correlation must lie in [0, 1], got -0.05"),
+        (["--m", "0"], "asset count must be >= 1, got 0"),
+        (["--m", "0", "--c-grid", ","], "asset count must be >= 1, got 0"),
+        (["--m", str(MAX_SYMMETRIC_ASSETS + 1)], CAP_MESSAGE),
+    ])
+    def test_flag_refusals_exit_1(self, flags, message, capsys):
+        assert_usage_error(*run(["fig1", *flags], capsys), message)
+
     def test_m_beyond_enumeration_limit(self, capsys):
         # the win-count law replaced the 2^M table, so M > 20 now solves
         code, stdout, _ = run(["fig1", "--m", "25"], capsys)
@@ -320,6 +369,37 @@ class TestFig2:
     def test_rejects_bad_c_true(self, capsys):
         code, _, _ = run(["fig2", "--c-true", "1.5"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "0"], "win probability must lie in (0, 1), got 0.0"),
+        (["--p", "1"], "win probability must lie in (0, 1), got 1.0"),
+        (["--c-true", "-0.1"], "correlation must lie in [0, 1], got -0.1"),
+        (["--c-grid", "0.1,1.2"], "correlation must lie in [0, 1], got 1.2"),
+        (["--m", "0"], "asset count must be >= 1, got 0"),
+        (["--m", str(MAX_SYMMETRIC_ASSETS + 1)], CAP_MESSAGE),
+    ])
+    def test_flag_refusals_exit_1(self, flags, message, capsys):
+        assert_usage_error(*run(["fig2", *flags], capsys), message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig1", "--m", str(MAX_SYMMETRIC_ASSETS + 1)], CAP_MESSAGE),
+    (["fig2", "--m", str(MAX_SYMMETRIC_ASSETS + 1)], CAP_MESSAGE),
+    (["fig2", "--c-grid", "0,0.1,0.2,1.2"], "correlation must lie in [0, 1], got 1.2"),
+])
+def test_flag_refusal_builds_no_law(argv, message, monkeypatch, capsys):
+    built = []
+    real_law = kelly.win_count_law
+
+    def law(params):
+        built.append(params.m)
+        if params.m > MAX_SYMMETRIC_ASSETS:
+            raise AssertionError(f"law of {params.m} assets built")
+        return real_law(params)
+
+    monkeypatch.setattr(kelly, "win_count_law", law)
+    assert_usage_error(*run(argv, capsys), message)
+    assert built == []
 
 
 class TestVarianceRatio:
@@ -566,8 +646,8 @@ def test_public_names_resolve_to_their_modules():
     import effport
 
     constants = {"ENUMERATION_LIMIT": "effport.binmodel", "MAX_SYMMETRIC_ASSETS": "effport.kelly"}
-    # the 65 names of the library API and its 7 modules
-    assert len(effport.__all__) == len(set(effport.__all__)) == 72
+    # the 66 names of the library API and its 7 modules
+    assert len(effport.__all__) == len(set(effport.__all__)) == 73
     for name in effport.__all__:
         obj = getattr(effport, name)
         if name in SUBMODULES:

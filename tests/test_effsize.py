@@ -235,7 +235,7 @@ class TestReport:
         assert rep.m_exact == pytest.approx(5.0)
         assert rep.m_even == pytest.approx(5.0)
         assert rep.m_uniform == pytest.approx(5.0)
-        assert rep.m_sector is None and rep.m_variance_ratio is None
+        assert rep.m_sector is None
 
     def test_uniform_fills_closed_form(self):
         rep = effsize_report(uniform_matrix(30, 0.322))
@@ -250,10 +250,8 @@ class TestReport:
         rng = np.random.default_rng(4)
         c = random_correlation(rng, 4)
         part = SectorPartition.from_labels(["a", "a", "b", "b"])
-        idx = ReturnSeries("I", rng.normal(size=50) * 0.01)
-        cons = [ReturnSeries(f"A{j}", rng.normal(size=50) * 0.01) for j in range(4)]
-        rep = effsize_report(c, partition=part, index_returns=idx, constituents=cons)
-        assert rep.m_sector is not None and rep.m_variance_ratio is not None
+        rep = effsize_report(c, partition=part)
+        assert rep.m_sector is not None
 
 
 def test_estimate_ordering_on_bundled_panel(sample_prices_path, sample_sectors_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from effport import kelly
 from effport.binmodel import BinaryModelParams, build_joint, win_count_law
 from effport.corrmat import CorrelationMatrix, invert, uniform_matrix
 from effport.errors import (
@@ -19,6 +20,7 @@ from effport.kelly import (
     kelly_first_order,
     kelly_fraction_binary,
     m_ef_kelly_numeric,
+    m_ef_kelly_numeric_grid,
     maximize_growth_symmetric,
     misestimation_experiment,
     uncorrelated_total_curve,
@@ -114,7 +116,6 @@ class TestSymmetricMaximization:
     def test_single_asset_reduces_to_kelly(self, p):
         res = maximize_growth_symmetric(win_count_law(BinaryModelParams(1, p, 0.0)))
         assert res.f_star == pytest.approx(max(2 * p - 1, 0.0), abs=1e-8)
-        assert res.method == "numeric-exact"
 
     # f* = 2p - 1 is pinned to within rounding noise. At p = 0.86 one ulp of
     # f* exceeds the 1e-16 step rule, so the loop ends only once no float lies
@@ -230,6 +231,46 @@ class TestEffectiveSizeNumeric:
         with pytest.raises(ExtrapolationError) as exc:
             invert_total_curve(totals, totals[0] - 0.1)
         assert exc.value.nearest_bound == pytest.approx(float(totals[0]))
+
+
+class TestEffectiveSizeNumericGrid:
+    GRID = [0.0, 0.05, 0.1, 0.3, 0.5, 0.95, 1.0]
+
+    # M = 25 at p = 0.7 lies on the plateau of the uncorrelated curve
+    @pytest.mark.parametrize("m,p", [(1, 0.6), (6, 0.55), (10, 0.6), (18, 0.7), (25, 0.7)])
+    def test_equals_one_point_form_bitwise(self, m, p):
+        totals = uncorrelated_total_curve(m, p)
+        composed = [
+            invert_total_curve(
+                totals,
+                maximize_growth_symmetric(win_count_law(BinaryModelParams(m, p, c))).total_fraction,
+            )
+            for c in self.GRID
+        ]
+        got = m_ef_kelly_numeric_grid(m, p, self.GRID)
+        assert got == [m_ef_kelly_numeric(m, p, c) for c in self.GRID] == composed
+
+    def test_empty_grid_still_checks_m_and_p(self):
+        assert m_ef_kelly_numeric_grid(3, 0.6, []) == []
+        with pytest.raises(DomainError, match="asset count"):
+            m_ef_kelly_numeric_grid(0, 0.6, [])
+        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+            m_ef_kelly_numeric_grid(3, 1.5, [])
+
+    # parameters, then p <= 1/2, then the asset cap, each before any law
+    @pytest.mark.parametrize("m,p,grid,error,message", [
+        (0, 0.4, [0.2], DomainError, "asset count"),
+        (MAX_SYMMETRIC_ASSETS + 1, 0.4, [0.2, 1.5], DomainError, "correlation"),
+        (MAX_SYMMETRIC_ASSETS + 1, 0.4, [0.2], DomainError, "exceed 1/2"),
+        (MAX_SYMMETRIC_ASSETS + 1, 0.6, [0.2], EnumerationLimitError, "at most"),
+    ])
+    def test_refusal_order_builds_no_law(self, m, p, grid, error, message, monkeypatch):
+        def law(params):
+            raise AssertionError(f"law of {params.m} assets built")
+
+        monkeypatch.setattr(kelly, "win_count_law", law)
+        with pytest.raises(error, match=message):
+            m_ef_kelly_numeric_grid(m, p, grid)
 
 
 class TestMisestimation:

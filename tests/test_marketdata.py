@@ -390,6 +390,12 @@ class TestSectors:
         with pytest.raises(ParseError):
             load_sectors(io.StringIO("asset,sector\nAAA,tech\nAAA,energy\n"))
 
+    # the header names exactly the two columns; an extra one is its own fault
+    @pytest.mark.parametrize("rows", ["AAA,tech\n", "AAA,tech,1\n"])
+    def test_extra_header_column_refused_at_line_1(self, rows):
+        with pytest.raises(ParseError, match="^line 1: header must be 'asset,sector'$"):
+            load_sectors(io.StringIO("asset,sector,weight\n" + rows))
+
 
 class TestPanelRoundTrip:
     def test_returns_to_panel_and_back(self, tmp_path):
