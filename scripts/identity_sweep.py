@@ -28,7 +28,9 @@ The sweep covers:
   1e4 times their spread;
 - a seeded 2521 x 100 panel and its index through estimate-corr, effsize,
   variance-ratio, subset-curve and sliding;
-- the refusals of one-asset, underflowing and overflowing panels;
+- the refusals of one-asset, underflowing and overflowing panels, of
+  1-date and 2-date panels, of a constant index, and of a blank asset name
+  and a byte-order mark in the header;
 - the refusals of flag values by fig1, fig2, subset-curve and sliding (exit
   1), and of a subset size above the universe of ``data/`` (exit 2).
 """
@@ -196,6 +198,29 @@ def refusals(cli) -> None:
             ["sliding", "--prices", "over.csv", "--window", "30", "--step", "5"])
     run_cli(cli, "refuse/subset-curve-over",
             ["subset-curve", "--prices", "over.csv", "--sizes", "2"])
+    for dates in (1, 2):
+        days = ["2020-01-01", "2020-01-02"][:dates]
+        Path(f"short{dates}.csv").write_text("date,A,B\n" + "".join(
+            f"{day},{k + 1},{3 - k}\n" for k, day in enumerate(days)))
+        Path(f"short{dates}_index.csv").write_text("date,I\n" + "".join(
+            f"{day},{k + 1}\n" for k, day in enumerate(days)))
+        for name, argv in {
+            "estimate-corr": ["estimate-corr", f"short{dates}.csv"],
+            "effsize": ["effsize", "--prices", f"short{dates}.csv"],
+            "subset-curve": ["subset-curve", "--prices", f"short{dates}.csv", "--sizes", "2"],
+            "variance-ratio": ["variance-ratio", "--index", f"short{dates}_index.csv",
+                               "--constituents", f"short{dates}.csv"],
+        }.items():
+            run_cli(cli, f"refuse/{name}-short{dates}", argv)
+    Path("flat_index.csv").write_text("date,I\n2020-01-01,2\n2020-01-02,2\n2020-01-03,2\n")
+    run_cli(cli, "refuse/variance-ratio-flat-index",
+            ["variance-ratio", "--index", "flat_index.csv", "--constituents", "one.csv"])
+    rows = "2020-01-01,1,2\n2020-01-02,2,1\n2020-01-03,1.5,3\n2020-01-06,3,2.5\n"
+    Path("blank.csv").write_text("date,,B\n" + rows)
+    Path("bom.csv").write_text("\ufeffdate,A,B\n" + rows, encoding="utf-8")
+    for path in ("blank.csv", "bom.csv"):
+        run_cli(cli, f"refuse/estimate-corr-{path}", ["estimate-corr", path])
+        run_cli(cli, f"refuse/effsize-{path}", ["effsize", "--prices", path])
 
 
 def flag_refusals(cli) -> None:

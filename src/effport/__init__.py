@@ -20,9 +20,9 @@ _EXPORTS = {
         "build_joint", "m_ef_uniform", "sample", "win_count_law",
     ),
     "corrmat": (
-        "CorrelationMatrix", "InverseCorrelationMatrix", "ReturnSeries", "SummaryStats",
-        "block_diagonal", "estimate_matrix", "invert", "pearson", "solve_ones",
-        "solve_ones_stack", "symmetric_inverse", "uniform_inverse_closed_form", "uniform_matrix",
+        "CorrelationMatrix", "InverseCorrelationMatrix", "block_diagonal", "correlation_values",
+        "invert", "solve_ones", "solve_ones_stack", "symmetric_inverse",
+        "uniform_inverse_closed_form", "uniform_matrix",
     ),
     "effsize": (
         "EffSizeReport", "ReducedSectorMatrix", "SectorPartition", "average_correlation",
@@ -39,8 +39,8 @@ _EXPORTS = {
         "m_ef_kelly_numeric_grid", "maximize_growth_symmetric", "misestimation_experiment",
     ),
     "marketdata": (
-        "PricePanel", "SubsetCurveSpec", "WindowSpec", "compute_returns", "load_prices",
-        "load_sectors", "panel_from_returns", "sliding_window_effsize", "subset_curve",
+        "PricePanel", "SubsetCurveSpec", "WindowSpec", "load_prices", "load_sectors",
+        "panel_from_returns", "returns_matrix", "sliding_window_effsize", "subset_curve",
         "write_prices_csv",
     ),
     "meanvar": (

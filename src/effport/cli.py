@@ -134,11 +134,9 @@ def _corr_from_prices(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMa
     from . import corrmat, marketdata
 
     panel = _load_panel(path)
-    returns = marketdata._returns_matrix(panel)
+    returns = marketdata.returns_matrix(panel)
     if panel.n_assets < 2:
         raise InputShapeError(f"need at least 2 series, got {panel.n_assets}")
-    if len(returns) < 2:
-        raise InputShapeError(f"return series needs at least 2 periods, got {len(returns)}")
     return panel.assets, corrmat.CorrelationMatrix(corrmat.correlation_values(returns))
 
 
@@ -266,7 +264,7 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_variance_ratio(args) -> int:
-    from . import corrmat, effsize, marketdata
+    from . import effsize, marketdata
 
     index_panel = _load_panel(args.index)
     if index_panel.n_assets != 1:
@@ -276,9 +274,9 @@ def _cmd_variance_ratio(args) -> int:
     panel = _load_panel(args.constituents)
     if index_panel.dates != panel.dates:
         raise DataError("index and constituent files cover different dates")
-    index_returns = marketdata._returns_matrix(index_panel)[:, 0]
-    ratio = effsize.m_ef_variance_ratio(index_returns, list(marketdata._returns_matrix(panel).T))
-    index_var = corrmat.SummaryStats.of(index_returns).variance
+    index_returns = marketdata.returns_matrix(index_panel)[:, 0]
+    ratio = effsize.m_ef_variance_ratio(index_returns, marketdata.returns_matrix(panel))
+    index_var = effsize._variance(index_returns)
     mean_var = ratio * index_var
     row = [
         str(panel.n_assets),

@@ -4,7 +4,7 @@ All averages use the population (divide-by-T) convention. The normalization
 cancels inside the correlation quotient for equal-length series, so the choice
 only matters for reported variances; fixing it keeps results bit-reproducible.
 
-A series none of whose returns differs from the first (or whose squared
+A return column none of whose entries differs from the first (or whose squared
 deviations from its mean sum to zero) is treated as risk-free and gets
 correlation 0 with everything instead of raising.
 
@@ -45,64 +45,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
-
-
-def _series_values(x) -> np.ndarray:
-    """Accept a ReturnSeries or a plain 1-D sequence of returns."""
-    values = x.returns if isinstance(x, ReturnSeries) else np.asarray(x, dtype=float)
-    if values.ndim != 1:
-        raise InputShapeError(f"return series must be 1-D, got shape {values.shape}")
-    if values.size < 2:
-        raise InputShapeError(f"return series needs at least 2 periods, got {values.size}")
-    return values
-
-
-@dataclass(frozen=True, eq=False)
-class ReturnSeries:
-    """Per-period simple returns of a single asset.
-
-    Every return exceeds -1 (prices stay positive). Correlation operations
-    additionally require at least two periods.
-    """
-
-    asset_id: str
-    returns: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.returns, dtype=float)
-        # a single-period series is a valid returns container; correlation
-        # operations separately require at least two periods
-        if r.ndim != 1 or r.size < 1:
-            raise InputShapeError(
-                f"series {self.asset_id!r}: need a nonempty 1-D array of returns"
-            )
-        if not np.all(np.isfinite(r)):
-            raise DomainError(f"series {self.asset_id!r}: returns must be finite")
-        if not np.all(r > -1.0):
-            raise DomainError(f"series {self.asset_id!r}: every return must exceed -1")
-        object.__setattr__(self, "returns", _readonly(r))
-
-    def __len__(self) -> int:
-        return self.returns.size
-
-    def stats(self) -> "SummaryStats":
-        return SummaryStats.of(self.returns)
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Population mean, variance, and standard deviation of one series."""
-
-    mean: float
-    variance: float
-    stdev: float
-
-    @classmethod
-    def of(cls, returns: np.ndarray) -> "SummaryStats":
-        r = np.asarray(returns, dtype=float)
-        mean = float(np.mean(r))
-        variance = float(np.mean((r - mean) ** 2))
-        return cls(mean=mean, variance=variance, stdev=math.sqrt(variance))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,30 +103,11 @@ class InverseCorrelationMatrix:
         return self.values.shape[0]
 
 
-def pearson(x, y) -> float:
-    """Pearson correlation of two equal-length return series.
-
-    Returns 0.0 when either series is risk-free (see the module docstring).
-
-    Parameters
-    ----------
-    x, y : ReturnSeries or 1-D array-like
-
-    Raises InputShapeError on length mismatch or fewer than 2 periods.
-    """
-    a = _series_values(x)
-    b = _series_values(y)
-    if a.size != b.size:
-        raise InputShapeError(f"length mismatch: {a.size} vs {b.size}")
-    return float(correlation_values(np.column_stack([a, b]))[0, 1])
-
-
 def correlation_values(returns: np.ndarray) -> np.ndarray:
     """Pairwise Pearson correlations of the columns of a (T, M) return matrix.
 
-    Array-in/array-out core of :func:`estimate_matrix`, :func:`pearson` and
-    the price-panel commands: the one-window case of :func:`_to_correlations`.
-    A risk-free column gets 0 off the diagonal.
+    The one-window case of :func:`_to_correlations`, as used by every
+    price-panel command. A risk-free column gets 0 off the diagonal.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 1:
@@ -224,21 +147,6 @@ def _to_correlations(cross: np.ndarray, sums: np.ndarray, rows: int, varying: np
     diagonal = np.arange(cross.shape[1])
     cross[:, diagonal, diagonal] = 1.0
     return cross
-
-
-def estimate_matrix(panel: Sequence) -> CorrelationMatrix:
-    """Estimate the correlation matrix of a panel of return series.
-
-    Entry (i, j) equals ``pearson(panel[i], panel[j])``. The panel must hold
-    at least two series of one common length.
-    """
-    if len(panel) < 2:
-        raise InputShapeError(f"need at least 2 series, got {len(panel)}")
-    columns = [_series_values(s) for s in panel]
-    lengths = {c.size for c in columns}
-    if len(lengths) != 1:
-        raise InputShapeError(f"ragged panel: lengths {sorted(lengths)}")
-    return CorrelationMatrix(correlation_values(np.column_stack(columns)))
 
 
 class OnesSolution(NamedTuple):

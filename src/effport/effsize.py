@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corrmat import SummaryStats, _series_values, solve_ones, solve_ones_stack
+from .corrmat import solve_ones, solve_ones_stack
 from .errors import DomainError, InputShapeError
 
 
@@ -239,18 +239,31 @@ def m_ef_sector_stack(a: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def m_ef_variance_ratio(index_returns, constituents: Sequence) -> float:
-    """Ratio of the mean constituent variance to the index return variance."""
-    idx = _series_values(index_returns)
-    if len(constituents) < 1:
-        raise InputShapeError("need at least one constituent series")
-    cols = [_series_values(s) for s in constituents]
-    if any(c.size != idx.size for c in cols):
-        raise InputShapeError("constituent series must cover the same periods as the index")
-    idx_var = SummaryStats.of(idx).variance
+def _variance(returns: np.ndarray) -> float:
+    """Population (divide-by-T) variance of one return series."""
+    mean = float(np.mean(returns))
+    return float(np.mean((returns - mean) ** 2))
+
+
+def m_ef_variance_ratio(index_returns: np.ndarray, constituents: np.ndarray) -> float:
+    """Ratio of the mean constituent variance to the index return variance.
+
+    ``index_returns`` holds T >= 2 returns, ``constituents`` the (T, M)
+    returns of the constituents; each variance is the population one.
+    """
+    idx = np.asarray(index_returns, dtype=float)
+    cols = np.asarray(constituents, dtype=float)
+    if idx.ndim != 1 or idx.size < 2:
+        raise InputShapeError(f"need >= 2 index returns in a 1-D array, got shape {idx.shape}")
+    if cols.ndim != 2 or cols.shape[0] != idx.size or cols.shape[1] < 1:
+        raise InputShapeError(
+            f"need a ({idx.size}, M>=1) constituent return matrix, got shape {cols.shape}"
+        )
+    idx_var = _variance(idx)
     if idx_var == 0.0:
         raise DomainError("index returns have zero variance")
-    mean_var = float(np.mean([SummaryStats.of(c).variance for c in cols]))
+    # one column at a time: a vectorised variance sums in another order
+    mean_var = float(np.mean([_variance(c) for c in cols.T]))
     return mean_var / idx_var
 
 

@@ -2,10 +2,11 @@
 
 File formats
 ------------
-Price file: delimiter-separated text with a header row ``date,ASSET1,...``,
-one row per trading day, ``YYYY-MM-DD`` dates in strictly increasing order,
-and positive finite decimal prices. An empty cell marks a missing quote;
-assets with any missing quote are dropped (and reported) rather than imputed.
+Price file: delimiter-separated text with a header row ``date,ASSET1,...``
+of distinct, nonblank asset names and no byte-order mark, one row per trading
+day, ``YYYY-MM-DD`` dates in strictly increasing order, and positive finite
+decimal prices. An empty cell marks a missing quote; assets with any missing
+quote are dropped (and reported) rather than imputed.
 
 Sector file: two columns ``asset,sector`` with a header row.
 
@@ -25,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corrmat import ReturnSeries, _centred_sums, _to_correlations, correlation_values
+from .corrmat import _centred_sums, _to_correlations, correlation_values
 from .effsize import SectorPartition, m_ef_even_stack, m_ef_exact_stack, m_ef_sector_stack
 from .errors import DataError, DomainError, InputShapeError, ParseError
 from .errors import fmt_float  # noqa: F401  (re-exported; the writer's format)
@@ -217,11 +218,15 @@ def load_prices(source) -> PricePanel:
 
 def _header_assets(header: list[str]) -> list[str]:
     header = [h.strip() for h in header]
+    if header and header[0].startswith("\ufeff"):
+        raise ParseError("file starts with a UTF-8 byte-order mark; save it without one", line=1)
     if not header or header[0] != "date":
         raise ParseError("header must start with a 'date' column", line=1)
     assets = header[1:]
     if not assets:
         raise ParseError("header lists no asset columns", line=1)
+    if "" in assets:
+        raise ParseError(f"blank asset name in header field {header.index('') + 1}", line=1)
     if len(set(assets)) != len(assets):
         raise ParseError("duplicate asset names in header", line=1)
     return assets
@@ -331,25 +336,27 @@ def _load_rows(fh) -> PricePanel:
     return PricePanel(dates=tuple(dates), assets=kept, prices=prices, dropped_assets=dropped)
 
 
-def _returns_matrix(panel: PricePanel) -> np.ndarray:
-    """The panel's (T, M) simple returns, each column refused as ReturnSeries
-    refuses a series: DomainError naming the first asset with a bad return."""
-    if panel.n_dates < 2:
-        raise InputShapeError("need at least 2 dates to compute returns")
+def returns_matrix(panel: PricePanel) -> np.ndarray:
+    """The simple returns (w[t+1] - w[t]) / w[t] of a panel of T dates and M
+    assets, as a (T - 1, M) array.
+
+    Raises InputShapeError for a panel of fewer than 3 dates, which gives
+    fewer than the 2 returns a correlation or a variance needs, and
+    DomainError naming the first asset with a non-finite return or one at or
+    below -1.
+    """
+    if panel.n_dates < 3:
+        raise InputShapeError(f"need at least 3 dates for 2 returns, got {panel.n_dates}")
     # an overflowing return becomes inf with no numpy warning: the refusal is the message
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         returns = np.diff(panel.prices, axis=0) / panel.prices[:-1]
     # column by column, so that no second (T, M) array is formed
     for name, column in zip(panel.assets, returns.T):
-        if not (np.isfinite(column).all() and (column > -1.0).all()):
-            ReturnSeries(name, column)  # raises, naming the series and the rule
+        if not np.isfinite(column).all():
+            raise DomainError(f"series {name!r}: returns must be finite")
+        if not (column > -1.0).all():
+            raise DomainError(f"series {name!r}: every return must exceed -1")
     return returns
-
-
-def compute_returns(panel: PricePanel) -> list[ReturnSeries]:
-    """Per-asset simple returns (w[t+1] - w[t]) / w[t], one series per asset."""
-    rets = _returns_matrix(panel)
-    return [ReturnSeries(asset, rets[:, j]) for j, asset in enumerate(panel.assets)]
 
 
 def sliding_window_effsize(panel: PricePanel, window: WindowSpec) -> list[WindowPoint]:
@@ -365,7 +372,7 @@ def sliding_window_effsize(panel: PricePanel, window: WindowSpec) -> list[Window
         raise InputShapeError(
             f"panel spans {t} dates, shorter than the {window.length}-day window"
         )
-    returns = _returns_matrix(panel)
+    returns = returns_matrix(panel)
     rows = window.length - 1
     m_ef = np.concatenate([
         m_ef_exact_stack(corrs) for corrs in _window_correlations(returns, rows, window.step)
@@ -533,7 +540,7 @@ def subset_curve(
                 f"portfolio size {size} exceeds the {universe}-asset universe"
             )
     codes = partition.codes(universe) if partition is not None else None
-    corr = correlation_values(_returns_matrix(panel))
+    corr = correlation_values(returns_matrix(panel))
     rng = np.random.default_rng(spec.seed)
     points: list[SubsetCurvePoint] = []
     for size in spec.sizes:

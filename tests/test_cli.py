@@ -510,6 +510,27 @@ class TestReturnsRefusal:
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (2, "", f"effport: data error: {message}\n")
 
+    @pytest.mark.parametrize("dates", [1, 2])
+    @pytest.mark.parametrize(
+        "command", ["estimate-corr", "effsize", "variance-ratio", "subset-curve"]
+    )
+    def test_short_panel_exits_2_with_one_message(self, command, dates, tmp_path, capsys):
+        days = ["2020-01-02", "2020-01-03"][:dates]
+        prices = tmp_path / "short.csv"
+        prices.write_text("date,A,B\n" + "".join(f"{d},{k + 1},2\n" for k, d in enumerate(days)))
+        index = tmp_path / "index.csv"
+        index.write_text("date,IDX\n" + "".join(f"{d},{k + 1}\n" for k, d in enumerate(days)))
+        argv = {
+            "estimate-corr": ["estimate-corr", str(prices)],
+            "effsize": ["effsize", "--prices", str(prices)],
+            "variance-ratio": ["variance-ratio", "--index", str(index),
+                               "--constituents", str(prices)],
+            "subset-curve": ["subset-curve", "--prices", str(prices), "--sizes", "2"],
+        }[command]
+        code, out, err = run(argv, capsys)
+        message = f"need at least 3 dates for 2 returns, got {dates}"
+        assert (code, out, err) == (2, "", f"effport: data error: {message}\n")
+
 
 class TestDroppedAssets:
     COMMANDS = {
@@ -646,8 +667,8 @@ def test_public_names_resolve_to_their_modules():
     import effport
 
     constants = {"ENUMERATION_LIMIT": "effport.binmodel", "MAX_SYMMETRIC_ASSETS": "effport.kelly"}
-    # the 66 names of the library API and its 7 modules
-    assert len(effport.__all__) == len(set(effport.__all__)) == 73
+    # the 63 names of the library API and its 7 modules
+    assert len(effport.__all__) == len(set(effport.__all__)) == 70
     for name in effport.__all__:
         obj = getattr(effport, name)
         if name in SUBMODULES:

@@ -9,13 +9,9 @@ from effport.corrmat import (
     CorrelationMatrix,
     InverseCorrelationMatrix,
     RCOND_FLOOR,
-    ReturnSeries,
-    SummaryStats,
     block_diagonal,
     correlation_values,
-    estimate_matrix,
     invert,
-    pearson,
     solve_ones_stack,
     symmetric_inverse,
     uniform_inverse_closed_form,
@@ -25,71 +21,41 @@ from effport.effsize import m_ef_exact_stack
 from effport.errors import DomainError, InputShapeError, NearSingularError
 
 
-class TestReturnSeries:
-    def test_basic_construction(self):
-        s = ReturnSeries("A", [0.1, -0.1, 0.2])
-        assert len(s) == 3
-        assert not s.returns.flags.writeable
-
-    def test_single_period_allowed_but_not_correlatable(self):
-        s = ReturnSeries("A", [0.1])
-        assert len(s) == 1
-        with pytest.raises(InputShapeError):
-            pearson(s, s)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputShapeError):
-            ReturnSeries("A", [])
-
-    def test_return_at_minus_one_rejected(self):
-        with pytest.raises(DomainError):
-            ReturnSeries("A", [0.1, -1.0])
-
-    def test_stats_population_convention(self):
-        s = ReturnSeries("A", [0.0, 0.2])
-        st = s.stats()
-        assert st.mean == pytest.approx(0.1)
-        assert st.variance == pytest.approx(0.01)  # divide by T, not T-1
-        assert st.stdev == pytest.approx(0.1)
-
-    def test_stdev_is_sqrt_of_variance(self):
-        st = SummaryStats.of(np.array([0.03, -0.01, 0.02, 0.05]))
-        assert st.stdev == np.sqrt(st.variance)
+def pair_correlation(x, y) -> float:
+    """Correlation of two equal-length series: the off-diagonal entry of the
+    correlation matrix of their two columns."""
+    return float(correlation_values(np.column_stack([x, y]))[0, 1])
 
 
 class TestPearson:
     def test_identical_series(self):
-        x = ReturnSeries("A", [0.1, -0.1, 0.2])
-        assert pearson(x, x) == pytest.approx(1.0)
+        x = np.array([0.1, -0.1, 0.2])
+        assert pair_correlation(x, x) == pytest.approx(1.0)
 
     def test_negated_series(self):
         x = np.array([0.1, -0.1, 0.2])
-        assert pearson(x, -x) == pytest.approx(-1.0)
+        assert pair_correlation(x, -x) == pytest.approx(-1.0)
 
     def test_orthogonal_zero_mean(self):
-        assert pearson([1, -1, 1, -1], [1, 1, -1, -1]) == pytest.approx(0.0)
+        assert pair_correlation([1, -1, 1, -1], [1, 1, -1, -1]) == pytest.approx(0.0)
 
     def test_zero_variance_gives_zero(self):
         # risk-free convention: no correlation with a flat series
-        assert pearson([0.1, 0.1, 0.1], [0.3, -0.2, 0.1]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputShapeError):
-            pearson([0.1, 0.2], [0.1, 0.2, 0.3])
+        assert pair_correlation([0.1, 0.1, 0.1], [0.3, -0.2, 0.1]) == 0.0
 
     def test_too_short(self):
-        with pytest.raises(InputShapeError):
-            pearson([0.1], [0.2])
+        with pytest.raises(InputShapeError, match=r"T>=2"):
+            correlation_values(np.array([[0.1, 0.2]]))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_symmetry_and_affine_invariance(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=200)
         y = rng.normal(size=200)
-        c = pearson(x, y)
-        assert pearson(y, x) == pytest.approx(c, abs=1e-14)
-        assert pearson(2.5 * x + 0.03, y) == pytest.approx(c, rel=1e-10)
-        assert pearson(-x, y) == pytest.approx(-c, rel=1e-10)
+        c = pair_correlation(x, y)
+        assert pair_correlation(y, x) == pytest.approx(c, abs=1e-14)
+        assert pair_correlation(2.5 * x + 0.03, y) == pytest.approx(c, rel=1e-10)
+        assert pair_correlation(-x, y) == pytest.approx(-c, rel=1e-10)
 
 
 class TestCorrelationMatrixType:
@@ -110,20 +76,25 @@ class TestCorrelationMatrixType:
         assert c.dim == 2
 
 
+def estimate(columns) -> CorrelationMatrix:
+    """The correlation matrix of return series given as columns."""
+    return CorrelationMatrix(correlation_values(np.column_stack(columns)))
+
+
 class TestEstimateMatrix:
     def test_two_identical_series(self):
-        s = ReturnSeries("A", [0.1, -0.2, 0.05])
-        c = estimate_matrix([s, ReturnSeries("B", [0.1, -0.2, 0.05])])
+        s = [0.1, -0.2, 0.05]
+        c = estimate([s, s])
         assert np.allclose(c.values, np.ones((2, 2)))
 
     def test_entries_match_pairwise_pearson(self):
         rng = np.random.default_rng(3)
-        panel = [ReturnSeries(f"A{i}", rng.normal(size=60) * 0.01) for i in range(4)]
-        c = estimate_matrix(panel)
+        panel = [rng.normal(size=60) * 0.01 for _ in range(4)]
+        c = estimate(panel)
         for i in range(4):
             for j in range(4):
                 assert c.values[i, j] == pytest.approx(
-                    pearson(panel[i], panel[j]), abs=1e-12
+                    pair_correlation(panel[i], panel[j]), abs=1e-12
                 )
 
     def test_independent_series_near_zero(self):
@@ -132,35 +103,34 @@ class TestEstimateMatrix:
         t = 10**5
         rng = np.random.default_rng(12)
         panel = [rng.normal(size=t) * 0.01 for _ in range(3)]
-        c = estimate_matrix(panel)
+        c = estimate(panel)
         off = c.values[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off) < 3.0 / np.sqrt(t))
 
     def test_hidden_asset_samples_recover_target(self):
         params = binmodel.BinaryModelParams(4, 0.55, 0.3)
         draws = binmodel.sample(params, 10**5, seed=99)
-        c = estimate_matrix([draws[:, j].astype(float) for j in range(4)])
+        c = CorrelationMatrix(correlation_values(draws.astype(float)))
         off = c.values[~np.eye(4, dtype=bool)]
         assert np.all(np.abs(off - 0.3) < 0.02)
 
-    def test_ragged_panel(self):
-        with pytest.raises(InputShapeError):
-            estimate_matrix([[0.1, 0.2, 0.3], [0.1, 0.2]])
-
     def test_single_series_rejected(self):
-        with pytest.raises(InputShapeError):
-            estimate_matrix([[0.1, 0.2, 0.3]])
+        # one series as a 1-D array is not a return matrix; as a (T, 1)
+        # column it is one, of correlation matrix [[1]]
+        with pytest.raises(InputShapeError, match=r"\(T>=2, M>=1\) return matrix"):
+            correlation_values(np.array([0.1, 0.2, 0.3]))
+        assert correlation_values(np.array([[0.1], [0.2], [0.3]])).tolist() == [[1.0]]
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_estimated_matrix_is_psd(self, seed):
         rng = np.random.default_rng(seed)
         m = 8
         panel = rng.normal(size=(40, m)) * 0.02
-        c = estimate_matrix([panel[:, j] for j in range(m)])
+        c = CorrelationMatrix(correlation_values(panel))
         assert np.linalg.eigvalsh(c.values).min() >= -1e-10 * m
 
     def test_zero_variance_column_convention(self):
-        c = estimate_matrix([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [0.2, 0.1, -0.1]])
+        c = estimate([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [0.2, 0.1, -0.1]])
         assert np.allclose(c.values[0, 1:], 0.0)
         assert c.values[0, 0] == 1.0
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from effport import effsize
 from effport.corrmat import (
     CorrelationMatrix,
-    ReturnSeries,
     block_diagonal,
-    estimate_matrix,
+    correlation_values,
     invert,
     symmetric_inverse,
     uniform_matrix,
@@ -183,16 +183,16 @@ class TestSectorReduction:
 
 class TestVarianceRatio:
     def test_single_constituent_is_one(self):
-        s = ReturnSeries("A", [0.01, -0.02, 0.03, 0.0])
-        assert m_ef_variance_ratio(s, [s]) == pytest.approx(1.0)
+        s = np.array([0.01, -0.02, 0.03, 0.0])
+        assert m_ef_variance_ratio(s, s[:, None]) == pytest.approx(1.0)
 
     def test_reported_index_magnitudes(self):
         # variances set to sigma_s^2 = 1.73e-4 and sigma_index^2 = 5.22e-5;
         # their quotient is 3.31
         a = np.sqrt(1.73e-4)
         b = np.sqrt(5.22e-5)
-        constituents = [ReturnSeries("A", [a, -a]), ReturnSeries("B", [-a, a])]
-        index = ReturnSeries("IDX", [b, -b])
+        constituents = np.array([[a, -a], [-a, a]])
+        index = np.array([b, -b])
         assert m_ef_variance_ratio(index, constituents) == pytest.approx(3.31, abs=0.01)
 
     def test_equal_weight_uncorrelated_index_scales_with_m(self):
@@ -200,17 +200,28 @@ class TestVarianceRatio:
         rng = np.random.default_rng(8)
         m, t = 8, 20000
         panel = rng.normal(size=(t, m)) * 0.01
-        constituents = [ReturnSeries(f"A{j}", panel[:, j]) for j in range(m)]
-        index = ReturnSeries("IDX", panel.mean(axis=1))
-        assert m_ef_variance_ratio(index, constituents) == pytest.approx(m, rel=0.05)
+        assert m_ef_variance_ratio(panel.mean(axis=1), panel) == pytest.approx(m, rel=0.05)
 
     def test_zero_index_variance(self):
-        with pytest.raises(DomainError):
-            m_ef_variance_ratio([0.01, 0.01], [ReturnSeries("A", [0.1, -0.1])])
+        with pytest.raises(DomainError, match="index returns have zero variance"):
+            m_ef_variance_ratio(np.array([0.01, 0.01]), np.array([[0.1], [-0.1]]))
 
     def test_length_mismatch(self):
-        with pytest.raises(InputShapeError):
-            m_ef_variance_ratio([0.01, -0.01], [ReturnSeries("A", [0.1, -0.1, 0.0])])
+        with pytest.raises(InputShapeError, match=r"need a \(2, M>=1\) constituent"):
+            m_ef_variance_ratio(np.array([0.01, -0.01]), np.array([[0.1], [-0.1], [0.0]]))
+
+    def test_population_variance(self):
+        # divide by T, not T - 1
+        assert effsize._variance(np.array([0.0, 0.2])) == pytest.approx(0.01)
+
+    def test_one_column_at_a_time(self):
+        # bit for bit the mean of each column's own variance, as the
+        # variance-ratio command has always printed it
+        rng = np.random.default_rng(11)
+        cols = rng.normal(size=(500, 7)) * 0.01
+        index = cols.mean(axis=1)
+        want = float(np.mean([effsize._variance(cols[:, j]) for j in range(7)]))
+        assert m_ef_variance_ratio(index, cols) == want / effsize._variance(index)
 
 
 class TestParticipationRatio:
@@ -257,10 +268,10 @@ class TestReport:
 def test_estimate_ordering_on_bundled_panel(sample_prices_path, sample_sectors_path):
     # On this sample universe the cheap estimates undershoot the exact value;
     # observed ordering for this dataset, not a general theorem.
-    from effport.marketdata import compute_returns, load_prices, load_sectors, partition_for_assets
+    from effport.marketdata import load_prices, load_sectors, partition_for_assets, returns_matrix
 
     panel = load_prices(sample_prices_path)
-    corr = estimate_matrix(compute_returns(panel))
+    corr = CorrelationMatrix(correlation_values(returns_matrix(panel)))
     part = partition_for_assets(panel.assets, load_sectors(sample_sectors_path))
     exact = m_ef_exact(invert(corr))
     sector = m_ef_sector(corr, part)

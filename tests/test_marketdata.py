@@ -14,12 +14,12 @@ from effport.marketdata import (
     PricePanel,
     SubsetCurveSpec,
     WindowSpec,
-    compute_returns,
     fmt_float,
     load_prices,
     load_sectors,
     panel_from_returns,
     partition_for_assets,
+    returns_matrix,
     sliding_window_effsize,
     subset_curve,
     write_prices_csv,
@@ -120,6 +120,27 @@ class TestLoadPrices:
         with pytest.raises(ParseError):
             load_from_text("date,AAA,AAA\n2020-01-02,1,2\n")
 
+    @pytest.mark.parametrize("text, field", [
+        ("date,,B\n2020-01-02,1,2\n", 2),
+        ("date,A, \n2020-01-02,1,2\n", 3),
+        ("date,A,B,\n2020-01-02,1,2,3\n", 4),
+    ])
+    def test_blank_asset_name_refused_at_line_1(self, text, field):
+        message = f"blank asset name in header field {field}$"
+        for read in (load_from_text, lambda t: marketdata._load_rows(io.StringIO(t))):
+            with pytest.raises(ParseError, match=message) as exc:
+                read(text)
+            assert exc.value.line == 1
+
+    def test_byte_order_mark_named_at_line_1(self, tmp_path):
+        text = "\ufeffdate,AAA\n2020-01-02,100\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (io.StringIO(text), path, io.StringIO(text.replace("100", '"100"'))):
+            with pytest.raises(ParseError, match="byte-order mark") as exc:
+                load_prices(source)
+            assert exc.value.line == 1
+
     def test_path_input(self, tmp_path):
         p = tmp_path / "prices.csv"
         p.write_text(GOOD_CSV)
@@ -215,23 +236,43 @@ class TestCsvMemory:
 
 class TestComputeReturns:
     def test_simple_return(self):
-        panel = load_from_text("date,AAA\n2020-01-02,100\n2020-01-03,110\n")
-        series = compute_returns(panel)
-        assert series[0].asset_id == "AAA"
-        assert series[0].returns[0] == pytest.approx(0.10)
+        panel = load_from_text("date,AAA\n2020-01-02,100\n2020-01-03,110\n2020-01-06,121\n")
+        returns = returns_matrix(panel)
+        assert returns.shape == (2, 1)
+        np.testing.assert_allclose(returns[:, 0], [0.10, 0.10])
+
+    def test_one_column_per_asset(self):
+        np.testing.assert_allclose(
+            returns_matrix(load_from_text(GOOD_CSV)), [[0.1, -0.02], [0.1, 2 / 49]], rtol=1e-15
+        )
 
     def test_flat_prices(self):
         panel = load_from_text("date,A\n2020-01-02,100\n2020-01-03,100\n2020-01-06,100\n")
-        np.testing.assert_array_equal(compute_returns(panel)[0].returns, [0.0, 0.0])
+        np.testing.assert_array_equal(returns_matrix(panel)[:, 0], [0.0, 0.0])
 
     def test_halving_and_doubling(self):
         panel = load_from_text("date,A\n2020-01-02,100\n2020-01-03,50\n2020-01-06,100\n")
-        np.testing.assert_allclose(compute_returns(panel)[0].returns, [-0.5, 1.0])
+        np.testing.assert_allclose(returns_matrix(panel)[:, 0], [-0.5, 1.0])
 
     def test_single_date_rejected(self):
         panel = load_from_text("date,A\n2020-01-02,100\n")
-        with pytest.raises(InputShapeError):
-            compute_returns(panel)
+        with pytest.raises(InputShapeError, match="need at least 3 dates for 2 returns, got 1"):
+            returns_matrix(panel)
+
+    def test_two_dates_rejected(self):
+        # one return: too few for any correlation or variance
+        panel = load_from_text("date,A\n2020-01-02,100\n2020-01-03,110\n")
+        with pytest.raises(InputShapeError, match="need at least 3 dates for 2 returns, got 2"):
+            returns_matrix(panel)
+
+    # 1e20 then 1e-5 is a return that rounds to exactly -1; B and C both
+    # fail, and B is named
+    @pytest.mark.filterwarnings("error")
+    def test_return_at_minus_one_rejected(self):
+        panel = load_from_text("date,A,B,C\n2020-01-02,1,1e20,1e20\n2020-01-03,2,1e-5,1e-5\n"
+                               "2020-01-06,3,1,1\n")
+        with pytest.raises(DomainError, match="^series 'B': every return must exceed -1$"):
+            returns_matrix(panel)
 
 
 class TestWindowSpec:

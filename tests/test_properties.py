@@ -21,7 +21,13 @@ from hypothesis.extra.numpy import arrays
 
 from effport import marketdata
 from effport.binmodel import BinaryModelParams, WinCountLaw, build_joint, win_count_law
-from effport.corrmat import CorrelationMatrix, block_diagonal, solve_ones_stack, symmetric_inverse
+from effport.corrmat import (
+    CorrelationMatrix,
+    block_diagonal,
+    correlation_values,
+    solve_ones_stack,
+    symmetric_inverse,
+)
 from effport.effsize import effsize_report, m_ef_exact_stack
 from effport.errors import NearSingularError
 from effport.kelly import (
@@ -166,6 +172,25 @@ def test_m_ef_matches_inverse_entry_sum(m, seed):
     assert out.m_ef[0] == pytest.approx(np.linalg.inv(c).sum(), rel=1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    returns=arrays(float, st.tuples(st.integers(2, 60), st.integers(1, 8)),
+                   elements=st.floats(-0.99, 1.0)),
+    perm_seed=st.integers(0, 2**32 - 1),
+)
+# a constant column (risk-free) and a duplicated one
+@example(returns=np.array([[0.01, 0.02, 0.01], [0.01, -0.03, 0.01], [0.01, 0.05, 0.01]]),
+         perm_seed=0)
+def test_correlation_values_permute_with_columns(returns, perm_seed):
+    """Reordering the assets reorders the estimated matrix and changes no
+    entry by more than rounding: each entry is a sum over at most 60 dates."""
+    perm = np.random.default_rng(perm_seed).permutation(returns.shape[1])
+    np.testing.assert_allclose(
+        correlation_values(returns[:, perm]), correlation_values(returns)[np.ix_(perm, perm)],
+        rtol=0.0, atol=1e-14,
+    )
+
+
 @settings(max_examples=50, deadline=None)
 @given(m=st.integers(2, 40), seed=seeds, perm_seed=seeds)
 def test_m_ef_permutation_invariant(m, seed, perm_seed):
@@ -210,7 +235,7 @@ ODD_DATES = [
     "", "20200103", "2020-1-02", " 2020-01-0", "2020-02-30", "2020/01/02", "2020-01-02 ",
     '"2020-01-02"', "#020-01-02", "1999-12-31", "2020-W01-1", "2020-01-021",
 ]
-ODD_HEADERS = ["", "Date", "A0", " A1 ", '"A1"', "#", "date"]
+ODD_HEADERS = ["", "Date", "A0", " A1 ", '"A1"', "#", "date", "\ufeffdate"]
 mutations = st.tuples(
     st.sampled_from(["cell", "date", "blank", "extra", "missing", "header", "crlf"]),
     st.integers(0, 50),
