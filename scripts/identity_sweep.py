@@ -29,8 +29,10 @@ The sweep covers:
 - a seeded 2521 x 100 panel and its index through estimate-corr, effsize,
   variance-ratio, subset-curve and sliding;
 - the refusals of one-asset, underflowing and overflowing panels, of
-  1-date and 2-date panels, of a constant index, and of a blank asset name
-  and a byte-order mark in the header;
+  1-date and 2-date panels, of a constant index, of a blank asset name and a
+  byte-order mark in a price header, of a byte-order mark in a sector file,
+  and of a byte-order mark, a blank name and a repeated name in a
+  correlation header;
 - the refusals of flag values by fig1, fig2, subset-curve and sliding (exit
   1), and of a subset size above the universe of ``data/`` (exit 2).
 """
@@ -221,6 +223,19 @@ def refusals(cli) -> None:
     for path in ("blank.csv", "bom.csv"):
         run_cli(cli, f"refuse/estimate-corr-{path}", ["estimate-corr", path])
         run_cli(cli, f"refuse/effsize-{path}", ["effsize", "--prices", path])
+    sectors = (DATA / "synthetic_sectors.csv").read_text()
+    Path("bom_sectors.csv").write_text("\ufeff" + sectors, encoding="utf-8")
+    run_cli(cli, "refuse/effsize-bom_sectors.csv",
+            ["effsize", "--prices", str(DATA / "synthetic_prices.csv"), "--sectors",
+             "bom_sectors.csv"])
+    # each matrix's row labels match its header, so only the header is at fault
+    for path, text in {
+        "bom_corr.tsv": "\ufeffasset\tA\tB\nA\t1\t0\nB\t0\t1\n",
+        "blank_corr.tsv": "asset\tA\t\nA\t1\t0\n\t0\t1\n",
+        "duplicate_corr.tsv": "asset\tA\tA\nA\t1\t0\nA\t0\t1\n",
+    }.items():
+        Path(path).write_text(text, encoding="utf-8")
+        run_cli(cli, f"refuse/effsize-{path}", ["effsize", "--corr", path])
 
 
 def flag_refusals(cli) -> None:

@@ -25,9 +25,9 @@ _EXPORTS = {
         "uniform_inverse_closed_form", "uniform_matrix",
     ),
     "effsize": (
-        "EffSizeReport", "ReducedSectorMatrix", "SectorPartition", "average_correlation",
-        "effsize_report", "inverse_participation_ratio", "m_ef_even", "m_ef_exact",
-        "m_ef_sector", "m_ef_variance_ratio", "reduce_to_sectors",
+        "EffSizeReport", "SectorPartition", "average_correlation", "effsize_report",
+        "inverse_participation_ratio", "m_ef_even", "m_ef_exact", "m_ef_sector",
+        "m_ef_variance_ratio", "reduce_to_sectors",
     ),
     "errors": (
         "BankruptcyError", "DataError", "DomainError", "EffportError", "EnumerationLimitError",

@@ -29,7 +29,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from . import corrmat, marketdata
+    from . import corrmat, effsize, marketdata
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,23 +97,17 @@ def _read_corr_file(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatr
     from . import corrmat, marketdata
 
     with open(path, "r", newline="") as fh:
-        header, table = marketdata.csv_table(fh, delimiter="\t")
-        if not header or header[0] != "asset":
-            raise ParseError("header must start with an 'asset' column", line=1)
-        assets = tuple(header[1:])
-        if not assets:
-            raise ParseError("header lists no assets", line=1)
-        rows = []
-        names = []
+        assets, table = marketdata.csv_table(fh, "asset", delimiter="\t")
+        rows, names = [], []
         for lineno, row in table(len(assets) + 1):
-            names.append(row[0])
+            names.append(row[0].strip())
             try:
                 rows.append([float(tok) for tok in row[1:]])
             except ValueError:
                 raise ParseError("unparseable matrix entry", line=lineno) from None
-    if tuple(names) != assets:
+    if names != assets:
         raise DataError("row labels do not match the header asset order")
-    return assets, corrmat.CorrelationMatrix(np.asarray(rows))
+    return tuple(assets), corrmat.CorrelationMatrix(np.asarray(rows))
 
 
 def _load_panel(path: str) -> marketdata.PricePanel:
@@ -128,6 +122,15 @@ def _load_panel(path: str) -> marketdata.PricePanel:
             file=sys.stderr,
         )
     return panel
+
+
+def _partition(args, assets: Sequence[str]) -> effsize.SectorPartition | None:
+    """The sector partition of ``assets`` under ``--sectors``, or None without it."""
+    from . import marketdata
+
+    if not args.sectors:
+        return None
+    return marketdata.partition_for_assets(assets, marketdata.load_sectors(args.sectors))
 
 
 def _corr_from_prices(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatrix]:
@@ -163,19 +166,14 @@ def _cmd_estimate_corr(args) -> int:
 
 
 def _cmd_effsize(args) -> int:
-    from . import effsize, marketdata
+    from . import effsize
 
     _require(bool(args.prices) != bool(args.corr), "give exactly one of --prices or --corr")
     if args.prices:
         assets, corr = _corr_from_prices(args.prices)
     else:
         assets, corr = _read_corr_file(args.corr)
-    partition = (
-        marketdata.partition_for_assets(assets, marketdata.load_sectors(args.sectors))
-        if args.sectors
-        else None
-    )
-    report = effsize.effsize_report(corr, partition=partition)
+    report = effsize.effsize_report(corr, partition=_partition(args, assets))
     row = [
         str(report.m),
         fmt_float(report.m_exact),
@@ -195,12 +193,7 @@ def _cmd_subset_curve(args) -> int:
             sizes=tuple(_number_list(args.sizes, int)), draws=args.draws, seed=args.seed
         )
     panel = _load_panel(args.prices)
-    partition = (
-        marketdata.partition_for_assets(panel.assets, marketdata.load_sectors(args.sectors))
-        if args.sectors
-        else None
-    )
-    points = marketdata.subset_curve(panel, spec, partition)
+    points = marketdata.subset_curve(panel, spec, _partition(args, panel.assets))
     total_skipped = sum(pt.skipped for pt in points)
     if total_skipped > 0.01 * spec.draws * len(spec.sizes):
         print(
@@ -241,13 +234,13 @@ def _cmd_fig1(args) -> int:
 
     p_values = _number_list(args.p_list)
     c_grid = _c_grid(args.c_grid, 21)
-    rows = []
     with _flags():
-        for p in p_values:
-            numeric = kelly.m_ef_kelly_numeric_grid(args.m, p, c_grid)
-            for c, value in zip(c_grid, numeric):
-                approx = binmodel.m_ef_uniform(args.m, c)
-                rows.append([fmt_float(p), fmt_float(c), fmt_float(approx), fmt_float(value)])
+        grids = kelly.m_ef_kelly_numeric_grids(args.m, p_values, c_grid)
+        rows = [
+            [fmt_float(p), fmt_float(c), fmt_float(binmodel.m_ef_uniform(args.m, c)),
+             fmt_float(value)]
+            for p, numeric in zip(p_values, grids) for c, value in zip(c_grid, numeric)
+        ]
     _write_table(args.out, ["p", "C", "m_ef_approx", "m_ef_numeric"], rows)
     return EXIT_OK
 

@@ -17,7 +17,6 @@ through the same formulas; a value that is undefined for one matrix is NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ def __getattr__(name: str):
 
 
 def _matrix_values(c) -> np.ndarray:
-    """Accept a CorrelationMatrix, a ReducedSectorMatrix, or a plain array."""
+    """Accept a CorrelationMatrix, an InverseCorrelationMatrix, or a plain array."""
     values = getattr(c, "values", None)
     if values is None:
         values = np.asarray(c, dtype=float)
@@ -46,66 +45,30 @@ def _matrix_values(c) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorPartition:
-    """Assignment of asset indices to named sectors."""
+    """The sector label of each asset, in asset order."""
 
-    assignment: Mapping[int, str]
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.assignment:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if not self.labels:
             raise InputShapeError("partition must assign at least one asset")
-        object.__setattr__(self, "assignment", dict(self.assignment))
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[str]) -> "SectorPartition":
-        """Partition where asset i belongs to sector labels[i]."""
-        return cls({i: str(lab) for i, lab in enumerate(labels)})
+        if not all(isinstance(label, str) for label in self.labels):
+            raise InputShapeError("sector labels must be strings, one per asset")
 
     @property
     def sectors(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.assignment.values())))
-
-    @property
-    def n(self) -> int:
-        return len(self.sectors)
+        return tuple(sorted(set(self.labels)))
 
     def codes(self, m: int) -> np.ndarray:
         """Sector of each asset 0..m-1 as an index into :attr:`sectors`.
 
-        Raises InputShapeError unless the partition covers exactly those assets.
+        Raises InputShapeError unless the partition labels exactly m assets.
         """
-        if set(self.assignment) != set(range(m)):
-            raise InputShapeError(f"partition must cover asset indices 0..{m - 1} exactly")
+        if len(self.labels) != m:
+            raise InputShapeError(f"partition labels {len(self.labels)} assets, not {m}")
         index = {label: i for i, label in enumerate(self.sectors)}
-        return np.array([index[self.assignment[i]] for i in range(m)])
-
-    @property
-    def sizes(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for label in self.assignment.values():
-            out[label] = out.get(label, 0) + 1
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedSectorMatrix:
-    """Sector-averaged correlation matrix.
-
-    Intra-sector entries average over the full sector block including the
-    unit diagonal of the asset matrix, so the diagonal here need not be 1.
-    """
-
-    values: np.ndarray
-    sectors: tuple[str, ...]
-
-    def __post_init__(self):
-        a = np.asarray(self.values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != len(self.sectors):
-            raise InputShapeError("reduced matrix shape does not match sector count")
-        object.__setattr__(self, "values", a)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+        return np.array([index[label] for label in self.labels])
 
 
 @dataclass(frozen=True)
@@ -199,22 +162,21 @@ def _reduce(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
 
 
-def reduce_to_sectors(c, partition: SectorPartition) -> ReducedSectorMatrix:
+def reduce_to_sectors(c, partition: SectorPartition) -> np.ndarray:
     """Average a correlation matrix over a sector partition.
 
+    Row and column s of the result belong to ``partition.sectors[s]``.
     Intra-sector entries sum over the whole block, diagonal included, divided
-    by the squared sector size; inter-sector entries average the rectangular
-    cross block.
+    by the squared sector size, so the diagonal need not be 1; inter-sector
+    entries average the rectangular cross block.
     """
     a = _matrix_values(c)
-    sectors = partition.sectors
-    reduced = _reduce(a, _sector_weights(partition.codes(a.shape[0]), len(sectors)))
-    return ReducedSectorMatrix(values=reduced, sectors=sectors)
+    return _reduce(a, _sector_weights(partition.codes(a.shape[0]), len(partition.sectors)))
 
 
 def m_ef_sector(c, partition: SectorPartition) -> float:
     """Sector-reduced effective size: entry sum of the inverse reduced matrix."""
-    return float(solve_ones(reduce_to_sectors(c, partition).values).m_ef[0])
+    return float(solve_ones(reduce_to_sectors(c, partition)).m_ef[0])
 
 
 def m_ef_sector_stack(a: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -197,23 +197,36 @@ def invert_total_curve(totals: np.ndarray, target: float) -> float:
     return float(np.interp(min(max(target, lo), hi), totals, grid))
 
 
-def m_ef_kelly_numeric_grid(m: int, p: float, c_grid: Sequence[float]) -> list[float]:
+def m_ef_kelly_numeric_grids(
+    m: int, p_values: Sequence[float], c_grid: Sequence[float]
+) -> list[list[float]]:
     """Effective size from exact growth maximization and total-fraction matching.
 
-    Solves sum f*(M, C) = m_ef * f*(m_ef, uncorrelated) for m_ef in [1, M] at
-    every C of ``c_grid``, against one uncorrelated curve. Needs p > 1/2:
-    below that nothing is invested on either side and the matching equation
-    is degenerate. Every refusal comes before any law is built.
+    For every p of ``p_values``, solves sum f*(M, C) = m_ef * f*(m_ef,
+    uncorrelated) for m_ef in [1, M] at every C of ``c_grid``, against one
+    uncorrelated curve. Needs p > 1/2: below that nothing is invested on
+    either side and the matching equation is degenerate. Every (p, C) is
+    checked, then every p against 1/2, then the asset cap (by the first
+    uncorrelated curve), before any law is built.
     """
-    BinaryModelParams(m, p, 0.0)  # refuses M and p even for an empty grid
-    params = [BinaryModelParams(m, p, c) for c in c_grid]
-    if p <= 0.5:
-        raise DomainError(f"win probability must exceed 1/2, got {p}")
-    totals = uncorrelated_total_curve(m, p)
-    return [
-        invert_total_curve(totals, maximize_growth_symmetric(win_count_law(q)).total_fraction)
-        for q in params
-    ]
+    # C = 0 leads each row, so that M and p are refused even for an empty grid
+    params = [[BinaryModelParams(m, p, c) for c in (0.0, *c_grid)] for p in p_values]
+    for p in p_values:
+        if p <= 0.5:
+            raise DomainError(f"win probability must exceed 1/2, got {p}")
+    grids = []
+    for p, row in zip(p_values, params):
+        totals = uncorrelated_total_curve(m, p)
+        grids.append([
+            invert_total_curve(totals, maximize_growth_symmetric(win_count_law(q)).total_fraction)
+            for q in row[1:]
+        ])
+    return grids
+
+
+def m_ef_kelly_numeric_grid(m: int, p: float, c_grid: Sequence[float]) -> list[float]:
+    """:func:`m_ef_kelly_numeric_grids` at the one win probability ``p``."""
+    return m_ef_kelly_numeric_grids(m, [p], c_grid)[0]
 
 
 def m_ef_kelly_numeric(m: int, p: float, c: float) -> float:

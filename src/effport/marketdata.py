@@ -2,13 +2,15 @@
 
 File formats
 ------------
-Price file: delimiter-separated text with a header row ``date,ASSET1,...``
-of distinct, nonblank asset names and no byte-order mark, one row per trading
-day, ``YYYY-MM-DD`` dates in strictly increasing order, and positive finite
-decimal prices. An empty cell marks a missing quote; assets with any missing
-quote are dropped (and reported) rather than imputed.
+Every input table opens with a header row of a fixed first column and at
+least one distinct, nonblank name after it, with no byte-order mark.
 
-Sector file: two columns ``asset,sector`` with a header row.
+Price file: header ``date,ASSET1,...``, then one row per trading day of a
+``YYYY-MM-DD`` date (strictly increasing) and positive finite decimal prices.
+An empty cell marks a missing quote; an asset with one is dropped (and
+reported) rather than imputed.
+
+Sector file: two columns under the header ``asset,sector``.
 
 All tabular output is tab-separated with a header row and floats rendered
 with 10 significant digits, so reruns with identical inputs and seed are
@@ -149,8 +151,8 @@ def _open_text(source):
     return open(source, "r", newline=""), True
 
 
-def csv_table(fh, delimiter: str = ","):
-    """The header row of a delimited table and a generator function ``rows``.
+def csv_table(fh, first: str, delimiter: str = ","):
+    """The :func:`_header_names` of a delimited table and a generator function ``rows``.
 
     ``rows(width)`` yields ``(line, row)`` for each nonblank row after the
     header and raises ParseError, naming the line, for a row that does not
@@ -183,7 +185,7 @@ def csv_table(fh, delimiter: str = ","):
         if not found:
             raise ParseError("file holds no data rows")
 
-    return header, rows
+    return _header_names(header, first), rows
 
 
 def load_prices(source) -> PricePanel:
@@ -216,20 +218,23 @@ def load_prices(source) -> PricePanel:
             fh.close()
 
 
-def _header_assets(header: list[str]) -> list[str]:
+def _header_names(header: list[str], first: str) -> list[str]:
+    """The stripped names after the required ``first`` column of any input table's
+    header: at least one, none blank or repeated, no byte-order mark, else ParseError."""
     header = [h.strip() for h in header]
     if header and header[0].startswith("\ufeff"):
         raise ParseError("file starts with a UTF-8 byte-order mark; save it without one", line=1)
-    if not header or header[0] != "date":
-        raise ParseError("header must start with a 'date' column", line=1)
-    assets = header[1:]
-    if not assets:
+    if not header or header[0] != first:
+        article = "an" if first[0] in "aeiou" else "a"
+        raise ParseError(f"header must start with {article} {first!r} column", line=1)
+    names = header[1:]
+    if not names:
         raise ParseError("header lists no asset columns", line=1)
-    if "" in assets:
+    if "" in names:
         raise ParseError(f"blank asset name in header field {header.index('') + 1}", line=1)
-    if len(set(assets)) != len(assets):
+    if len(set(names)) != len(names):
         raise ParseError("duplicate asset names in header", line=1)
-    return assets
+    return names
 
 
 #: Characters the block reader takes per read, then up to the next line end.
@@ -276,7 +281,7 @@ def _load_block(fh) -> PricePanel:
     # the row reader refuses fields longer than the limit, header fields included
     if not head or '"' in head or "\r" in head or len(head) > csv.field_size_limit():
         raise _Irregular
-    assets = _header_assets(head.split(","))
+    assets = _header_names(head.split(","), "date")
     dates: list[str] = []
     # comments=None: with the default "#", the cell "2.0#c" would read as 2.0
     prices = np.loadtxt(
@@ -291,8 +296,7 @@ def _load_block(fh) -> PricePanel:
 
 def _load_rows(fh) -> PricePanel:
     """Row-by-row reader: handles missing quotes and builds every load error."""
-    header, table = csv_table(fh)
-    assets = _header_assets(header)
+    assets, table = csv_table(fh, "date")
 
     dates: list[str] = []
     rows: list[list[float]] = []
@@ -569,8 +573,8 @@ def load_sectors(source) -> dict[str, str]:
     """Load an asset-to-sector map from a two-column CSV with header."""
     fh, owns = _open_text(source)
     try:
-        header, table = csv_table(fh)
-        if [h.strip() for h in header] != ["asset", "sector"]:
+        names, table = csv_table(fh, "asset")
+        if names != ["sector"]:
             raise ParseError("header must be 'asset,sector'", line=1)
         mapping: dict[str, str] = {}
         for lineno, row in table(2):
@@ -587,11 +591,11 @@ def load_sectors(source) -> dict[str, str]:
 
 
 def partition_for_assets(assets: Sequence[str], sectors: dict[str, str]) -> SectorPartition:
-    """Restrict an asset->sector map to an ordered asset list, by list index."""
+    """The partition of an ordered asset list under an asset->sector map."""
     missing = [a for a in assets if a not in sectors]
     if missing:
         raise InputShapeError(f"sector file misses assets: {', '.join(missing)}")
-    return SectorPartition({i: sectors[a] for i, a in enumerate(assets)})
+    return SectorPartition(tuple(sectors[a] for a in assets))
 
 
 def panel_from_returns(

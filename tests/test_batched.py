@@ -40,7 +40,7 @@ from effport.marketdata import (
 def loop_subset_curve(panel, spec, partition=None):
     labels = None
     if partition is not None:
-        labels = np.array([partition.assignment[i] for i in range(panel.n_assets)])
+        labels = np.array(partition.labels)
     returns = np.diff(panel.prices, axis=0) / panel.prices[:-1]
     corr = correlation_values(returns)
     rng = np.random.default_rng(spec.seed)
@@ -55,7 +55,7 @@ def loop_subset_curve(panel, spec, partition=None):
                 exact = float(solve_ones(sub).m_ef[0])
                 even = m_ef_even(sub)
                 if labels is not None:
-                    sector = m_ef_sector(sub, SectorPartition.from_labels(labels[idx]))
+                    sector = m_ef_sector(sub, SectorPartition(tuple(labels[idx])))
                 else:
                     sector = float("nan")
             except (NearSingularError, DomainError):
@@ -165,9 +165,7 @@ class TestSubsetCurveMatchesLoop:
     def test_duplicated_asset_skips_draws(self, bundled):
         panel, partition = bundled
         panel = full_sample_twin(panel)
-        labels = dict(partition.assignment)
-        labels[panel.n_assets - 1] = labels[0]
-        partition = SectorPartition(labels)
+        partition = SectorPartition(partition.labels + partition.labels[:1])
         spec = SubsetCurveSpec(sizes=(2, 20, 41), draws=80, seed=2)
         got = subset_curve(panel, spec, partition)
         assert exact(got) == exact(loop_subset_curve(panel, spec, partition))
@@ -294,7 +292,7 @@ class TestStackMemory:
     def wide(self):
         returns = np.random.default_rng(12).standard_normal((599, 100))
         panel = panel_from_returns(returns, scale=0.01)
-        partition = SectorPartition({i: f"S{i % 10}" for i in range(100)})
+        partition = SectorPartition(tuple(f"S{i % 10}" for i in range(100)))
         return panel, partition
 
     @staticmethod
@@ -385,8 +383,7 @@ def test_stacked_pipelines_form_no_inverse(bundled, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", forbidden)
     panel, partition = bundled
     twin = early_twin(panel)
-    labels = dict(partition.assignment)
-    labels[twin.n_assets - 1] = labels[0]
+    labels = partition.labels + partition.labels[:1]
     spec = SubsetCurveSpec(sizes=(2, 20, 41), draws=40, seed=5)
     assert subset_curve(twin, spec, SectorPartition(labels))[2].skipped == 0
     nan = [math.isnan(pt.m_ef) for pt in sliding_window_effsize(twin, WindowSpec(252, 5))]

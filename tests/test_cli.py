@@ -386,6 +386,8 @@ class TestFig2:
     (["fig1", "--m", str(MAX_SYMMETRIC_ASSETS + 1)], CAP_MESSAGE),
     (["fig2", "--m", str(MAX_SYMMETRIC_ASSETS + 1)], CAP_MESSAGE),
     (["fig2", "--c-grid", "0,0.1,0.2,1.2"], "correlation must lie in [0, 1], got 1.2"),
+    # the refused second p costs no solve of the first
+    (["fig1", "--m", "10", "--p-list", "0.55,0.4"], "win probability must exceed 1/2, got 0.4"),
 ])
 def test_flag_refusal_builds_no_law(argv, message, monkeypatch, capsys):
     built = []
@@ -459,6 +461,45 @@ class TestVarianceRatio:
             ["variance-ratio", "--index", str(other), "--constituents", str(cons)], capsys
         )
         assert code == 2
+
+
+BOM_MESSAGE = "file starts with a UTF-8 byte-order mark; save it without one"
+
+#: A file of each input format under one header, and the command that reads it.
+HEADER_FORMATS = {
+    "prices": (",", "2020-01-01,1,2\n2020-01-02,2,1\n2020-01-03,1.5,3\n",
+               lambda path, prices: ["estimate-corr", path]),
+    "sectors": (",", "A,s0\nB,s1\nC,s0\nD,s1\nE,s0\n",
+                lambda path, prices: ["effsize", "--prices", prices, "--sectors", path]),
+    "corr": ("\t", "A\t1\t0\n\t0\t1\n", lambda path, prices: ["effsize", "--corr", path]),
+}
+
+
+# one header rule for every input table: each fault is refused at line 1 by name
+@pytest.mark.parametrize("kind, header, message", [
+    ("prices", ["\ufeffdate", "A", "B"], BOM_MESSAGE),
+    ("prices", ["date", "A", ""], "blank asset name in header field 3"),
+    ("prices", ["date", "A", "A"], "duplicate asset names in header"),
+    ("prices", ["day", "A", "B"], "header must start with a 'date' column"),
+    ("prices", ["date"], "header lists no asset columns"),
+    ("sectors", ["\ufeffasset", "sector"], BOM_MESSAGE),
+    ("sectors", ["asset", ""], "blank asset name in header field 2"),
+    ("sectors", ["asset", "sector", "sector"], "duplicate asset names in header"),
+    ("sectors", ["name", "sector"], "header must start with an 'asset' column"),
+    ("sectors", ["asset"], "header lists no asset columns"),
+    ("corr", ["\ufeffasset", "A", "B"], BOM_MESSAGE),
+    ("corr", ["asset", "A", ""], "blank asset name in header field 3"),
+    ("corr", ["asset", "A", "A"], "duplicate asset names in header"),
+    ("corr", ["name", "A", "B"], "header must start with an 'asset' column"),
+    ("corr", ["asset"], "header lists no asset columns"),
+])
+def test_header_rule_exits_2(kind, header, message, tmp_path, small_panel_path, capsys):
+    delimiter, rows, command = HEADER_FORMATS[kind]
+    path = tmp_path / "table.txt"
+    path.write_text(delimiter.join(header) + "\n" + rows, encoding="utf-8")
+    code, stdout, stderr = run(command(str(path), str(small_panel_path)), capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"effport: data error: line 1: {message}\n"
 
 
 class TestReturnsRefusal:
@@ -667,8 +708,8 @@ def test_public_names_resolve_to_their_modules():
     import effport
 
     constants = {"ENUMERATION_LIMIT": "effport.binmodel", "MAX_SYMMETRIC_ASSETS": "effport.kelly"}
-    # the 63 names of the library API and its 7 modules
-    assert len(effport.__all__) == len(set(effport.__all__)) == 70
+    # the 62 names of the library API and its 7 modules
+    assert len(effport.__all__) == len(set(effport.__all__)) == 69
     for name in effport.__all__:
         obj = getattr(effport, name)
         if name in SUBMODULES:

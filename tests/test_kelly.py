@@ -21,6 +21,7 @@ from effport.kelly import (
     kelly_fraction_binary,
     m_ef_kelly_numeric,
     m_ef_kelly_numeric_grid,
+    m_ef_kelly_numeric_grids,
     maximize_growth_symmetric,
     misestimation_experiment,
     uncorrelated_total_curve,
@@ -271,6 +272,33 @@ class TestEffectiveSizeNumericGrid:
         monkeypatch.setattr(kelly, "win_count_law", law)
         with pytest.raises(error, match=message):
             m_ef_kelly_numeric_grid(m, p, grid)
+
+    def test_p_list_form_is_one_grid_per_p(self):
+        p_values = [0.55, 0.6, 0.7]
+        got = m_ef_kelly_numeric_grids(10, p_values, self.GRID)
+        assert got == [m_ef_kelly_numeric_grid(10, p, self.GRID) for p in p_values]
+
+    def test_empty_p_list_asks_for_nothing(self):
+        assert m_ef_kelly_numeric_grids(0, [], [0.2]) == []
+
+    # every (p, C) is checked, then every p against 1/2, then the cap: a
+    # refused later p costs no solve of the earlier ones
+    @pytest.mark.parametrize("m,p_values,grid,error,message", [
+        (10, [0.55, 0.4], [0.2], DomainError, "exceed 1/2, got 0.4"),
+        (10, [0.4, 1.0], [0.2], DomainError, r"\(0, 1\), got 1.0"),
+        (10, [0.55, 0.6], [0.2, 1.5], DomainError, "correlation"),
+        (MAX_SYMMETRIC_ASSETS + 1, [0.6, 0.45], [0.2], DomainError, "exceed 1/2, got 0.45"),
+        (MAX_SYMMETRIC_ASSETS + 1, [0.6, 0.7], [0.2], EnumerationLimitError, "at most"),
+    ])
+    def test_p_list_refusal_order_builds_no_law(
+        self, m, p_values, grid, error, message, monkeypatch
+    ):
+        def law(params):
+            raise AssertionError(f"law of {params.m} assets built")
+
+        monkeypatch.setattr(kelly, "win_count_law", law)
+        with pytest.raises(error, match=message):
+            m_ef_kelly_numeric_grids(m, p_values, grid)
 
 
 class TestMisestimation:

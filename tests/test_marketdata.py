@@ -362,7 +362,7 @@ class TestSubsetCurve:
         r[:, :6] = 0.01 * (np.sqrt(0.5) * g1 + np.sqrt(0.5) * e[:, :6])
         r[:, 6:] = 0.01 * (np.sqrt(0.2) * g2 + np.sqrt(0.8) * e[:, 6:])
         panel = panel_from_returns(r)
-        part = SectorPartition.from_labels(["a"] * 6 + ["b"] * 6)
+        part = SectorPartition(("a",) * 6 + ("b",) * 6)
         points = subset_curve(panel, SubsetCurveSpec(sizes=(4, 8, 12), draws=300, seed=9), part)
         for pt in points:
             assert pt.m_sector == pytest.approx(pt.m_exact, abs=0.2)
@@ -411,7 +411,7 @@ class TestSectors:
         assert mapping == {"AAA": "tech", "BBB": "energy"}
         panel = load_from_text(GOOD_CSV)
         part = partition_for_assets(panel.assets, mapping)
-        assert part.assignment == {0: "tech", 1: "energy"}
+        assert part.labels == ("tech", "energy")
 
     def test_missing_asset(self):
         panel = load_from_text(GOOD_CSV)
@@ -421,7 +421,7 @@ class TestSectors:
     def test_extra_assets_tolerated(self):
         panel = load_from_text(GOOD_CSV)
         part = partition_for_assets(panel.assets, {"AAA": "x", "BBB": "y", "ZZZ": "z"})
-        assert part.n == 2
+        assert part.labels == ("x", "y")
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
@@ -487,4 +487,4 @@ class TestPanelRoundTrip:
         assert panel.n_assets == 40
         assert panel.n_dates == 757
         sectors = load_sectors(sample_sectors_path)
-        assert partition_for_assets(panel.assets, sectors).n == 4
+        assert len(partition_for_assets(panel.assets, sectors).sectors) == 4
