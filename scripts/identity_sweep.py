@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hash every output of a fixed sweep of effport commands, for byte-identity checks.
 
-Usage: ``python scripts/identity_sweep.py [--dump DIR] SRC_DIR > hashes.txt``
+Usage: ``python scripts/identity_sweep.py [--entry] [--dump DIR] SRC_DIR > hashes.txt``
 
 ``SRC_DIR`` is the ``src`` directory of the checkout to sweep; the commands
 and their inputs come from this checkout's ``perfbench/workloads.py`` and
@@ -10,6 +10,9 @@ written file, so two checkouts are compared with ``diff`` on their listings.
 Commands that exit non-zero are listed with a hash of their exit code and
 standard error. With ``--dump DIR`` every hashed output is also written to
 ``DIR/name``, so the lines that differ are listed by ``diff -r`` on two dumps.
+Each command runs in-process through ``cli.main``; with ``--entry`` it runs as a
+fresh ``python -m effport`` process on ``SRC_DIR`` instead, so the listing also
+checks the process entry, and matches the in-process one.
 
 The sweep covers:
 
@@ -44,6 +47,7 @@ import datetime
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -58,6 +62,8 @@ def sha256(data: bytes) -> str:
 
 #: Directory that receives every hashed output (``--dump``), or None.
 DUMP: Path | None = None
+#: The ``src`` directory whose ``python -m effport`` runs each command (``--entry``), or None.
+ENTRY_SRC: Path | None = None
 
 
 def record(name: str, data: bytes) -> None:
@@ -70,12 +76,18 @@ def record(name: str, data: bytes) -> None:
 
 def run_cli(cli, name: str, argv: list[str], outputs: tuple[str, ...] = ()) -> None:
     """Run one command in the current directory and record its outputs."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    if ENTRY_SRC is None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+    else:
+        child = subprocess.run([sys.executable, "-m", "effport", *argv], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": str(ENTRY_SRC)})
+        code, out, err = child.returncode, child.stdout, child.stderr
     if code != 0:
-        record(f"{name}.exit", f"{code}:{err.getvalue()}".encode())
-    record(f"{name}.stdout", out.getvalue().encode())
+        record(f"{name}.exit", f"{code}:{err}".encode())
+    record(f"{name}.stdout", out.encode())
     for path in outputs:
         record(f"{name}/{path}", Path(path).read_bytes())
 
@@ -268,14 +280,20 @@ def flag_refusals(cli) -> None:
 
 
 def main(argv: list[str]) -> int:
-    global DUMP
+    global DUMP, ENTRY_SRC
+    entry = argv[:1] == ["--entry"]
+    if entry:
+        argv = argv[1:]
     if argv[:1] == ["--dump"] and len(argv) == 3:
         DUMP = Path(argv[1]).resolve()
         argv = argv[2:]
     if len(argv) != 1:
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 1
-    sys.path[:0] = [str(Path(argv[0]).resolve()), str(ROOT / "perfbench")]
+    src = Path(argv[0]).resolve()
+    if entry:
+        ENTRY_SRC = src
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import numpy as np
     import workloads
     import writeprices

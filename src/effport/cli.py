@@ -356,7 +356,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NearSingularError, BankruptcyError, EnumerationLimitError, ExtrapolationError) as exc:
         print(f"effport: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -151,7 +151,7 @@ def _open_text(source):
     return open(source, "r", newline=""), True
 
 
-def csv_table(fh, first: str, delimiter: str = ","):
+def csv_table(fh, first: str, delimiter: str = ",", fixed: tuple[str, ...] = ()):
     """The :func:`_header_names` of a delimited table and a generator function ``rows``.
 
     ``rows(width)`` yields ``(line, row)`` for each nonblank row after the
@@ -185,7 +185,7 @@ def csv_table(fh, first: str, delimiter: str = ","):
         if not found:
             raise ParseError("file holds no data rows")
 
-    return _header_names(header, first), rows
+    return _header_names(header, first, fixed), rows
 
 
 def load_prices(source) -> PricePanel:
@@ -218,9 +218,10 @@ def load_prices(source) -> PricePanel:
             fh.close()
 
 
-def _header_names(header: list[str], first: str) -> list[str]:
+def _header_names(header: list[str], first: str, fixed: tuple[str, ...] = ()) -> list[str]:
     """The stripped names after the required ``first`` column of any input table's
-    header: at least one, none blank or repeated, no byte-order mark, else ParseError."""
+    header: at least one, none blank or repeated, no byte-order mark, else ParseError.
+    A table of ``fixed`` columns must name exactly those after ``first``."""
     header = [h.strip() for h in header]
     if header and header[0].startswith("\ufeff"):
         raise ParseError("file starts with a UTF-8 byte-order mark; save it without one", line=1)
@@ -228,6 +229,8 @@ def _header_names(header: list[str], first: str) -> list[str]:
         article = "an" if first[0] in "aeiou" else "a"
         raise ParseError(f"header must start with {article} {first!r} column", line=1)
     names = header[1:]
+    if fixed and names != list(fixed):
+        raise ParseError(f"header must be {','.join([first, *fixed])!r}", line=1)
     if not names:
         raise ParseError("header lists no asset columns", line=1)
     if "" in names:
@@ -573,9 +576,7 @@ def load_sectors(source) -> dict[str, str]:
     """Load an asset-to-sector map from a two-column CSV with header."""
     fh, owns = _open_text(source)
     try:
-        names, table = csv_table(fh, "asset")
-        if names != ["sector"]:
-            raise ParseError("header must be 'asset,sector'", line=1)
+        _, table = csv_table(fh, "asset", fixed=("sector",))
         mapping: dict[str, str] = {}
         for lineno, row in table(2):
             asset, sector = row[0].strip(), row[1].strip()

@@ -1,4 +1,6 @@
 import datetime
+import gc
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -464,6 +466,7 @@ class TestVarianceRatio:
 
 
 BOM_MESSAGE = "file starts with a UTF-8 byte-order mark; save it without one"
+SECTOR_HEADER_MESSAGE = "header must be 'asset,sector'"
 
 #: A file of each input format under one header, and the command that reads it.
 HEADER_FORMATS = {
@@ -483,10 +486,12 @@ HEADER_FORMATS = {
     ("prices", ["day", "A", "B"], "header must start with a 'date' column"),
     ("prices", ["date"], "header lists no asset columns"),
     ("sectors", ["\ufeffasset", "sector"], BOM_MESSAGE),
-    ("sectors", ["asset", ""], "blank asset name in header field 2"),
-    ("sectors", ["asset", "sector", "sector"], "duplicate asset names in header"),
+    # after its 'asset' column a sector header must be exactly 'sector'; other
+    # names are refused as a whole, not as faults in a list of asset names
+    ("sectors", ["asset", ""], SECTOR_HEADER_MESSAGE),
+    ("sectors", ["asset", "sector", "sector"], SECTOR_HEADER_MESSAGE),
     ("sectors", ["name", "sector"], "header must start with an 'asset' column"),
-    ("sectors", ["asset"], "header lists no asset columns"),
+    ("sectors", ["asset"], SECTOR_HEADER_MESSAGE),
     ("corr", ["\ufeffasset", "A", "B"], BOM_MESSAGE),
     ("corr", ["asset", "A", ""], "blank asset name in header field 3"),
     ("corr", ["asset", "A", "A"], "duplicate asset names in header"),
@@ -634,6 +639,63 @@ def test_cli_import_loads_no_scipy():
         "import effport.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert out.strip() == "[]"
+
+
+def entry(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m effport argv`` run by a fresh interpreter on this checkout."""
+    return subprocess.run([sys.executable, "-m", "effport", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def entry_cases(tmp_path):
+    """One command of each exit class: 0, 1 (usage), 2 (data) and 3 (numerical)."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("date,A,B\n2020-01-02,1,2\n2020-01-03,-1,2\n")
+    singular = tmp_path / "corr.tsv"
+    write_corr_file(singular, np.array([[1.0, 1.0], [1.0, 1.0]]))
+    return {
+        0: ["fig2", "--m", "4", "--p", "0.55", "--c-true", "0.2", "--c-grid", "0.1,0.2"],
+        1: ["fig1", "--p-list", "0.5"],
+        2: ["estimate-corr", str(bad)],
+        3: ["effsize", "--corr", str(singular)],
+    }
+
+
+def test_entry_matches_in_process_main(tmp_path, capsys):
+    for expected, argv in entry_cases(tmp_path).items():
+        code, stdout, stderr = run(argv, capsys)
+        assert code == expected, argv
+        child = entry(*argv)
+        assert (child.returncode, child.stdout, child.stderr) == (code, stdout, stderr)
+
+
+def test_entry_writes_the_same_file(tmp_path, small_panel_path, capsys):
+    argv = ["estimate-corr", str(small_panel_path), "--out"]
+    code, stdout, _ = run([*argv, str(tmp_path / "in.tsv")], capsys)
+    child = entry(*argv, str(tmp_path / "entry.tsv"))
+    assert code == child.returncode == 0 and child.stdout == stdout
+    assert (tmp_path / "entry.tsv").read_bytes() == (tmp_path / "in.tsv").read_bytes()
+
+
+def test_entry_runs_the_command_with_the_collector_on_and_imports_frozen():
+    out = fresh_python(
+        "import gc, runpy; from effport import cli; "
+        "cli.main = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0) or 0; "
+        "runpy.run_module('effport', run_name='__main__')"
+    )
+    assert out.split() == ["True", "True"]
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(["fig1", "--m", "3", "--c-grid", "0"], capsys)[0] == 0
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+
+
+def test_installed_script_is_the_entry():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"effport": "effport.__main__:main"}
 
 
 # each command of the benchmark workloads, on small inputs; {d} is the input directory
