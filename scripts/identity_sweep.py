@@ -8,7 +8,8 @@ and their inputs come from this checkout's ``perfbench/workloads.py`` and
 ``data/``. One ``sha256  name`` line is printed per standard output and per
 written file, so two checkouts are compared with ``diff`` on their listings.
 Commands that exit non-zero are listed with a hash of their exit code and
-standard error. With ``--dump DIR`` every hashed output is also written to
+standard error, and a command that raises with a hash of the exception's type
+name (``name.raised``). With ``--dump DIR`` every hashed output is also written to
 ``DIR/name``, so the lines that differ are listed by ``diff -r`` on two dumps.
 Each command runs in-process through ``cli.main``; with ``--entry`` it runs as a
 fresh ``python -m effport`` process on ``SRC_DIR`` instead, so the listing also
@@ -21,8 +22,8 @@ The sweep covers:
 - fig1 at M = 1..20, 25 and 40, with four fig2 settings at each M;
 - subset-curve on ``data/`` with and without sectors, over sizes 2..40 at
   600, 650 and 700 draws and at the 5000-draw default;
-- sliding on ``data/`` at window/step 252/1, 60/7, 31/3 and 31/40 (a step
-  longer than the window);
+- sliding on ``data/`` at window/step 252/1, 60/7, 31/3, 31/40 (a step
+  longer than the window) and 252/1000000;
 - sliding at 60/7 and 60/1 on ``data/`` with its first asset's price held
   constant over the dates of exactly one 60/7 window, and at 60/7 and 252/1
   on a panel whose first asset's returns have a mean 200 times their spread;
@@ -35,7 +36,8 @@ The sweep covers:
   1-date and 2-date panels, of a constant index, of a blank asset name and a
   byte-order mark in a price header, of a byte-order mark in a sector file,
   and of a byte-order mark, a blank name and a repeated name in a
-  correlation header;
+  correlation header, and of ``data/`` with every cell of one row blank (no
+  asset left) by sliding;
 - the refusals of flag values by fig1, fig2, subset-curve and sliding (exit
   1), and of a subset size above the universe of ``data/`` (exit 2).
 """
@@ -75,16 +77,26 @@ def record(name: str, data: bytes) -> None:
 
 
 def run_cli(cli, name: str, argv: list[str], outputs: tuple[str, ...] = ()) -> None:
-    """Run one command in the current directory and record its outputs."""
+    """Run one command in the current directory and record its outputs, or
+    the type name of the exception it raised."""
     if ENTRY_SRC is None:
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except Exception as exc:
+            record(f"{name}.raised", type(exc).__name__.encode())
+            return
         out, err = out.getvalue(), err.getvalue()
     else:
         child = subprocess.run([sys.executable, "-m", "effport", *argv], capture_output=True,
                                text=True, env={**os.environ, "PYTHONPATH": str(ENTRY_SRC)})
         code, out, err = child.returncode, child.stdout, child.stderr
+        if "Traceback (most recent call last):" in err:
+            # the last line names the exception, as "module.Type: message"
+            raised = err.rstrip().splitlines()[-1].split(":")[0].rsplit(".", 1)[-1]
+            record(f"{name}.raised", raised.encode())
+            return
     if code != 0:
         record(f"{name}.exit", f"{code}:{err}".encode())
     record(f"{name}.stdout", out.encode())
@@ -129,7 +141,7 @@ def data_commands(cli) -> None:
     run_cli(cli, "data/subset-default", ["subset-curve", *prices, "--sizes", "2,5,10,20,40"])
     run_cli(cli, "data/subset-sectors-default",
             ["subset-curve", *prices, *sectors, "--sizes", "2,5,10,20,40"])
-    for window, step in (("252", "1"), ("60", "7"), ("31", "3"), ("31", "40")):
+    for window, step in (("252", "1"), ("60", "7"), ("31", "3"), ("31", "40"), ("252", "1000000")):
         run_cli(cli, f"data/sliding-{window}-{step}",
                 ["sliding", *prices, "--window", window, "--step", step])
     run_cli(cli, "data/estimate-corr", ["estimate-corr", prices[1]])
@@ -248,6 +260,10 @@ def refusals(cli) -> None:
     }.items():
         Path(path).write_text(text, encoding="utf-8")
         run_cli(cli, f"refuse/effsize-{path}", ["effsize", "--corr", path])
+    lines = (DATA / "synthetic_prices.csv").read_text().splitlines(keepends=True)
+    lines[100] = lines[100].split(",")[0] + "," * (lines[0].count(",")) + "\n"
+    Path("blank_row.csv").write_text("".join(lines))
+    run_cli(cli, "refuse/sliding-blank_row.csv", ["sliding", "--prices", "blank_row.csv"])
 
 
 def flag_refusals(cli) -> None:
@@ -260,6 +276,7 @@ def flag_refusals(cli) -> None:
         "fig1-c": ["fig1", "--c-grid", "0,1.5"],
         "fig1-m-zero": ["fig1", "--m", "0"],
         "fig1-m-zero-empty-grid": ["fig1", "--m", "0", "--c-grid", ","],
+        "fig1-m-zero-empty-p-list": ["fig1", "--m", "0", "--p-list", ","],
         "fig1-m-cap": ["fig1", "--m", above_cap],
         "fig2-p-zero": ["fig2", "--p", "0"],
         "fig2-p-one": ["fig2", "--p", "1"],
@@ -271,6 +288,7 @@ def flag_refusals(cli) -> None:
         "subset-size-one": ["subset-curve", *prices, "--sizes", "5,1"],
         "subset-sizes-parse": ["subset-curve", *prices, "--sizes", "2,x"],
         "subset-draws-zero": ["subset-curve", *prices, "--sizes", "2", "--draws", "0"],
+        "subset-seed-negative": ["subset-curve", *prices, "--sizes", "2", "--seed", "-1"],
         "subset-size-above-universe": ["subset-curve", *prices, "--sizes", "2,41"],
         "sliding-window-short": ["sliding", *prices, "--window", "10"],
         "sliding-step-zero": ["sliding", *prices, "--step", "0"],

@@ -204,11 +204,13 @@ def m_ef_kelly_numeric_grids(
 
     For every p of ``p_values``, solves sum f*(M, C) = m_ef * f*(m_ef,
     uncorrelated) for m_ef in [1, M] at every C of ``c_grid``, against one
-    uncorrelated curve. Needs p > 1/2: below that nothing is invested on
-    either side and the matching equation is degenerate. Every (p, C) is
-    checked, then every p against 1/2, then the asset cap (by the first
-    uncorrelated curve), before any law is built.
+    uncorrelated curve. Needs at least one p, and p > 1/2: below that nothing
+    is invested on either side and the matching equation is degenerate. Every
+    (p, C) is checked, then every p against 1/2, then the asset cap (by the
+    first uncorrelated curve), before any law is built.
     """
+    if len(p_values) < 1:
+        raise DomainError("need at least one win probability")
     # C = 0 leads each row, so that M and p are refused even for an empty grid
     params = [[BinaryModelParams(m, p, c) for c in (0.0, *c_grid)] for p in p_values]
     for p in p_values:

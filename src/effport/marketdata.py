@@ -37,13 +37,14 @@ from .errors import fmt_float  # noqa: F401  (re-exported; the writer's format)
 TRADING_DAYS_PER_YEAR = 252
 
 #: Bytes of one (k, n, n) stack in the subset and sliding pipelines. Only one
-#: stack and its Cholesky factor are held at a time, so memory does not grow
-#: with M. No result depends on k: every matrix is solved on its own, and the
-#: rolling sums of sliding carry over from stack to stack and restart at fixed
-#: window indices. Fresh-process peak RSS of subset-curve on data/ was 38.9,
-#: 39.6, 41.1, 43.1 and 46.3 MB at 2^18 to 2^22 bytes (42.3 MB at 256 matrices
-#: a stack); below 2^20 subset_curve got slower (+6% at 2^19, +26% at 2^18),
-#: and at M = 100 a stack is already 13 matrices.
+#: stack and its Cholesky factor are held at a time. No result depends on k:
+#: every matrix is solved on its own. A sliding stack holds whole runs of its
+#: rolling sums, at least one; a run of _RESTART_WINDOWS windows exceeds this
+#: size from M = 91.
+#: Fresh-process peak RSS of subset-curve on data/ was 38.9, 39.6, 41.1, 43.1
+#: and 46.3 MB at 2^18 to 2^22 bytes (42.3 MB at 256 matrices a stack); below
+#: 2^20 subset_curve got slower (+6% at 2^19, +26% at 2^18), and at M = 100 a
+#: subset stack is already 13 matrices.
 _STACK_BYTES = 1 << 20
 
 
@@ -124,6 +125,8 @@ class SubsetCurveSpec:
             raise DomainError(f"every portfolio size must be >= 2, got {sizes}")
         if self.draws < 1:
             raise DomainError(f"draws must be >= 1, got {self.draws}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "sizes", sizes)
 
 
@@ -347,13 +350,15 @@ def returns_matrix(panel: PricePanel) -> np.ndarray:
     """The simple returns (w[t+1] - w[t]) / w[t] of a panel of T dates and M
     assets, as a (T - 1, M) array.
 
-    Raises InputShapeError for a panel of fewer than 3 dates, which gives
-    fewer than the 2 returns a correlation or a variance needs, and
-    DomainError naming the first asset with a non-finite return or one at or
-    below -1.
+    Raises InputShapeError for a panel of no assets or of fewer than 3 dates,
+    which gives fewer than the 2 returns a correlation or a variance needs,
+    and DomainError naming the first asset with a non-finite return or one at
+    or below -1.
     """
     if panel.n_dates < 3:
         raise InputShapeError(f"need at least 3 dates for 2 returns, got {panel.n_dates}")
+    if panel.n_assets < 1:
+        raise InputShapeError("panel holds no assets")
     # an overflowing return becomes inf with no numpy warning: the refusal is the message
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         returns = np.diff(panel.prices, axis=0) / panel.prices[:-1]
@@ -408,32 +413,32 @@ _CANCELLATION = 4.0
 
 def _window_correlations(returns: np.ndarray, rows: int, step: int):
     """Correlations of the windows of ``rows`` returns that start every
-    ``step`` rows of a (T, M) return matrix, yielded in stacks of at most
-    :func:`_stack_len` matrices that share one buffer: each stack is
-    overwritten by the next.
+    ``step`` rows of a (T, M) return matrix, yielded in stacks of whole runs
+    that share one buffer: each stack is overwritten by the next.
 
-    A window's column sums and cross-product sums of its returns, shifted by
-    the column means of the window that last restarted them, come from the
-    previous window's by adding the rows that enter and removing the rows
-    that leave (Chan, Golub & LeVeque 1983; Pebay 2008): one batched matmul
-    for the stack, then a cumulative sum. Every ``_RESTART_WINDOWS``-th
-    window, and every window when the step is at least half a window, is
-    summed alone about its own means, and so is every window where the
-    largest shifted square sum of a column since the restart exceeds
-    ``_CANCELLATION`` times its square sum about the window's mean, as the
-    rounding of the running sums grows with the former. A column is
-    risk-free (correlation 0) in a window where none of its returns differs
-    from the one before; :func:`~effport.corrmat._to_correlations` turns the
-    sums into correlations. No result depends on the stack length.
+    A run is ``_RESTART_WINDOWS`` windows from window 0 on, or one window
+    when the step is at least half a window. Its first window's column sums
+    and cross-product sums are taken about its own means; each later
+    window's, shifted by those means, come from the previous window's by
+    adding the rows that enter and removing the rows that leave (Chan, Golub
+    & LeVeque 1983; Pebay 2008): one batched matmul for the stack, then a
+    cumulative sum over each run. A window is summed alone about its own
+    means where the largest shifted square sum of a column since its run
+    began exceeds ``_CANCELLATION`` times its square sum about the window's
+    mean, as the rounding of the running sums grows with the former. A column
+    is risk-free (correlation 0) in a window where none of its returns
+    differs from the one before; :func:`~effport.corrmat._to_correlations`
+    turns the sums into correlations. No result depends on the stack length.
     """
     t, m = returns.shape
     starts = np.arange(0, t - rows + 1, step)
     period = _RESTART_WINDOWS if 2 * step < rows else 1
-    # the rows that enter a window, then those that leave it, from its first
-    # row (summed while period > 1); a stack of them, or of the row-change
-    # counts below, takes no more than _STACK_BYTES either
-    offsets = np.r_[rows - step : rows, -step:0]
-    k = min(_stack_len(m), max(1, _STACK_BYTES // (16 * step * m)))
+    # the most whole runs that fit _stack_len and, with their entering and
+    # leaving rows or their row-change counts below, _STACK_BYTES; at least one
+    k = max(period, min(_stack_len(m), _STACK_BYTES // (16 * step * m)) // period * period)
+    if period > 1:
+        # the rows that enter a window, then those that leave it, from its first row
+        offsets = np.r_[rows - step : rows, -step:0]
 
     def window(w):
         return returns[starts[w] : starts[w] + rows]
@@ -451,40 +456,28 @@ def _window_correlations(returns: np.ndarray, rows: int, step: int):
                   out=changes[1:])
         varying = changes[starts[first:last] - lo + rows - 1] != changes[starts[first:last] - lo]
         del changes
+        runs = range(first, last, period)
         if period > 1:
             # each window's entering rows less its leaving rows, shifted by the
-            # column means of its restart window (window 0 has none: it is one)
-            segment = np.arange(first, last) // period
-            shifts = np.array([window(s * period).mean(axis=0)
-                               for s in range(segment[0], segment[-1] + 1)])
+            # column means of its run's first window
+            shifts = np.array([window(w).mean(axis=0) for w in runs])
             moved = returns[starts[first:last, None] + offsets]
-            moved -= shifts[segment - segment[0], None]
+            moved -= shifts[np.arange(last - first) // period, None]
             signed = moved.copy()
             signed[:, step:] *= -1.0
             np.matmul(signed.transpose(0, 2, 1), moved, out=cross)
             signed.sum(axis=1, out=sums)
             del moved, signed  # not held while the caller solves the stack
-            if first % period:
-                cross[0] += carry_cross
-                sums[0] += carry_sums
-        restarts = range(-(-first // period) * period, last, period)
-        for w in restarts:
-            _centred_sums(window(w), cross[w - first], sums[w - first])
-        # each piece runs from a restart, or the stack's start, to the next one
-        bounds = sorted({first, last, *restarts})
         square_sums = cross.diagonal(axis1=1, axis2=2)
         peak = np.empty_like(sums)
-        for a, b in zip(bounds, bounds[1:]):
-            piece = slice(a - first, b - first)
-            np.cumsum(cross[piece], axis=0, out=cross[piece])
-            np.cumsum(sums[piece], axis=0, out=sums[piece])
-            np.maximum.accumulate(square_sums[piece], axis=0, out=peak[piece])
-        if first % period:
-            piece = slice(0, bounds[1] - first)
-            np.maximum(peak[piece], carry_peak, out=peak[piece])
-        carry_cross, carry_sums, carry_peak = cross[-1].copy(), sums[-1].copy(), peak[-1].copy()
+        for w in runs:
+            _centred_sums(window(w), cross[w - first], sums[w - first])
+            run = slice(w - first, w - first + period)
+            np.cumsum(cross[run], axis=0, out=cross[run])
+            np.cumsum(sums[run], axis=0, out=sums[run])
+            np.maximum.accumulate(square_sums[run], axis=0, out=peak[run])
         # the sums' rounding grows with the largest square sum since the
-        # restart: where that dwarfs the variance, sum the window alone
+        # run began: where that dwarfs the variance, sum the window alone
         lossy = varying & (peak > _CANCELLATION * (square_sums - sums**2 / rows))
         for j in np.flatnonzero(lossy.any(axis=1)):
             _centred_sums(window(first + j), cross[j], sums[j])

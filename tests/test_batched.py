@@ -284,6 +284,18 @@ def test_output_independent_of_stack_len(bundled, budget, monkeypatch):
     assert (subset_curve(panel, spec, partition), sliding_window_effsize(panel, window)) == want
 
 
+@pytest.mark.parametrize("budget", [1, 8 * 40 * 40 * 3])
+@pytest.mark.parametrize("rows, step", [(251, 1), (99, 7), (59, 29)])
+def test_sliding_stacks_hold_whole_runs(bundled, budget, rows, step, monkeypatch):
+    # every stack starts at a restart window, so no rolling sums cross stacks
+    assert 2 * step < rows
+    monkeypatch.setattr(marketdata, "_STACK_BYTES", budget)
+    returns = marketdata.returns_matrix(bundled[0])
+    sizes = [len(c) for c in marketdata._window_correlations(returns, rows, step)]
+    assert len(sizes) > 1
+    assert all(k % marketdata._RESTART_WINDOWS == 0 for k in sizes[:-1])
+
+
 class TestStackMemory:
     """Only one stack of matrices is held at a time: on a 600 x 100 panel the
     traced peak stays under 5 MB (a stack of 256 matrices alone is 20 MB)."""
@@ -308,6 +320,14 @@ class TestStackMemory:
         # 59 returns of 100 assets: every window is singular and refused
         assert len(got) == 541
         assert peak <= 5_000_000
+
+    def test_sliding_step_beyond_panel(self, bundled):
+        # one window, so no rows enter or leave a window: none are gathered,
+        # however long the step
+        got, peak = self.traced_peak(
+            lambda: sliding_window_effsize(bundled[0], WindowSpec(252, 10**6)))
+        assert len(got) == 1
+        assert peak <= 2_000_000
 
     def test_subset_curve(self, wide):
         spec = SubsetCurveSpec(sizes=(100,), draws=300, seed=1)

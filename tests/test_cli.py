@@ -1,5 +1,7 @@
+import contextlib
 import datetime
 import gc
+import io
 import os
 import subprocess
 import sys
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from effport import cli, kelly
 from effport.corrmat import uniform_matrix
@@ -231,6 +235,7 @@ class TestSubsetCurve:
         (["--sizes", ""], "need at least one portfolio size"),
         (["--sizes", "5,1"], "every portfolio size must be >= 2, got (5, 1)"),
         (["--sizes", "2", "--draws", "0"], "draws must be >= 1, got 0"),
+        (["--sizes", "2", "--seed=-1"], "seed must be >= 0, got -1"),
     ])
     def test_flag_refusals_exit_1(self, flags, message, sample_prices_path, capsys):
         argv = ["subset-curve", "--prices", str(sample_prices_path), *flags]
@@ -336,6 +341,8 @@ class TestFig1:
         (["--m", "0"], "asset count must be >= 1, got 0"),
         (["--m", "0", "--c-grid", ","], "asset count must be >= 1, got 0"),
         (["--m", str(MAX_SYMMETRIC_ASSETS + 1)], CAP_MESSAGE),
+        (["--m", "0", "--p-list", ","], "need at least one win probability"),
+        (["--m", "5000", "--p-list", ","], "need at least one win probability"),
     ])
     def test_flag_refusals_exit_1(self, flags, message, capsys):
         assert_usage_error(*run(["fig1", *flags], capsys), message)
@@ -556,6 +563,28 @@ class TestReturnsRefusal:
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (2, "", f"effport: data error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["estimate-corr", "effsize", "variance-ratio", "sliding"])
+    def test_no_assets_exits_2(self, command, tmp_path, capsys):
+        # one blank row drops every asset
+        days = [(datetime.date(2020, 1, 1) + datetime.timedelta(d)).isoformat()
+                for d in range(40)]
+        prices = tmp_path / "blank_row.csv"
+        prices.write_text("date,A,B\n" + "".join(
+            f"{d},{'' if k == 5 else k + 1},{'' if k == 5 else 2}\n" for k, d in enumerate(days)))
+        index = tmp_path / "index.csv"
+        index.write_text("date,IDX\n" + "".join(f"{d},{k + 1}\n" for k, d in enumerate(days)))
+        argv = {
+            "estimate-corr": ["estimate-corr", str(prices)],
+            "effsize": ["effsize", "--prices", str(prices)],
+            "variance-ratio": ["variance-ratio", "--index", str(index),
+                               "--constituents", str(prices)],
+            "sliding": ["sliding", "--prices", str(prices), "--window", "30"],
+        }[command]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == ("dropped 2 asset(s) with missing quotes: A, B\n"
+                       "effport: data error: panel holds no assets\n")
+
     @pytest.mark.parametrize("dates", [1, 2])
     @pytest.mark.parametrize(
         "command", ["estimate-corr", "effsize", "variance-ratio", "subset-curve"]
@@ -607,6 +636,66 @@ class TestDroppedAssets:
         assert code == 0
         assert err.count("dropped 1 asset(s) with missing quotes: C\n") == 1
         assert stdout == cli_run("without")[1]
+
+
+def flag(name, values):
+    """Strategy for ``["--name=value"]`` or no flag; the ``=`` form keeps a
+    leading "-" in the value."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+def listed(*tokens):
+    return st.lists(st.sampled_from(tokens), max_size=3).map(",".join)
+
+
+PROBABILITIES = ("0", "0.4", "0.5", "0.55", "0.7", "1", "1.5", "x")
+CORRELATIONS = ("-0.1", "0", "0.05", "0.5", "1", "1.5")
+# M = 2000 takes seconds to solve; the cap's refusal above it takes none
+ASSET_COUNTS = st.sampled_from([-1, 0, 1, 2, 3, 5, 8, MAX_SYMMETRIC_ASSETS + 1])
+PRICE_FILES = st.sampled_from(["{data}", "{blank_row}"]).map(lambda f: [f"--prices={f}"])
+FLAG_COMMANDS = st.one_of(
+    st.tuples(st.just(["fig1"]), flag("m", ASSET_COUNTS), flag("p-list", listed(*PROBABILITIES)),
+              flag("c-grid", listed(*CORRELATIONS))),
+    st.tuples(st.just(["fig2"]), flag("m", ASSET_COUNTS), flag("p", st.sampled_from(PROBABILITIES)),
+              flag("c-true", st.sampled_from(CORRELATIONS)), flag("c-grid", listed(*CORRELATIONS))),
+    # --draws is always given: its default of 5000 would take most of the budget
+    st.tuples(st.just(["subset-curve"]), PRICE_FILES,
+              listed("-1", "0", "1", "2", "5", "40", "41", "x").map(lambda v: [f"--sizes={v}"]),
+              st.integers(-1, 30).map(lambda v: [f"--draws={v}"]),
+              flag("seed", st.integers(-3, 2**40))),
+    st.tuples(st.just(["sliding"]), PRICE_FILES, flag("window", st.integers(-1, 800)),
+              flag("step", st.integers(-1, 60) | st.integers(1, 10**6))),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@pytest.fixture(scope="module")
+def price_files(tmp_path_factory):
+    """``data/``'s price file, and a copy with every cell of one row blank."""
+    data = Path(__file__).resolve().parent.parent / "data" / "synthetic_prices.csv"
+    lines = data.read_text().splitlines(keepends=True)
+    lines[100] = lines[100].split(",")[0] + "," * lines[0].count(",") + "\n"
+    blank_row = tmp_path_factory.mktemp("flags") / "blank_row.csv"
+    blank_row.write_text("".join(lines))
+    return {"data": str(data), "blank_row": str(blank_row)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=FLAG_COMMANDS)
+@example(argv=["sliding", "--prices={blank_row}"])
+@example(argv=["subset-curve", "--prices={data}", "--sizes=2", "--draws=5", "--seed=-1"])
+@example(argv=["fig1", "--m=0", "--p-list=,"])
+def test_flag_values_keep_the_exit_contract(argv, price_files):
+    # exit 0-3, no other exception, and nothing on stdout unless the run succeeded
+    argv = [arg.format(**price_files) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            # the parser's refusal of a flag it cannot convert (see TestParserBehavior)
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or out.getvalue() == ""
 
 
 class TestParserBehavior:

@@ -273,13 +273,15 @@ class TestEffectiveSizeNumericGrid:
         with pytest.raises(error, match=message):
             m_ef_kelly_numeric_grid(m, p, grid)
 
+    @pytest.mark.parametrize("m", [0, 5000])
+    def test_empty_p_list_refused(self, m):
+        with pytest.raises(DomainError, match="need at least one win probability"):
+            m_ef_kelly_numeric_grids(m, [], self.GRID)
+
     def test_p_list_form_is_one_grid_per_p(self):
         p_values = [0.55, 0.6, 0.7]
         got = m_ef_kelly_numeric_grids(10, p_values, self.GRID)
         assert got == [m_ef_kelly_numeric_grid(10, p, self.GRID) for p in p_values]
-
-    def test_empty_p_list_asks_for_nothing(self):
-        assert m_ef_kelly_numeric_grids(0, [], [0.2]) == []
 
     # every (p, C) is checked, then every p against 1/2, then the cap: a
     # refused later p costs no solve of the earlier ones

@@ -265,6 +265,13 @@ class TestComputeReturns:
         with pytest.raises(InputShapeError, match="need at least 3 dates for 2 returns, got 2"):
             returns_matrix(panel)
 
+    def test_no_assets_rejected(self):
+        # every asset has a missing quote, so the loader drops them all
+        panel = load_from_text("date,A,B\n2020-01-02,1,2\n2020-01-03,,\n2020-01-06,3,4\n")
+        assert panel.n_assets == 0
+        with pytest.raises(InputShapeError, match="^panel holds no assets$"):
+            returns_matrix(panel)
+
     # 1e20 then 1e-5 is a return that rounds to exactly -1; B and C both
     # fail, and B is named
     @pytest.mark.filterwarnings("error")
@@ -401,6 +408,8 @@ class TestSubsetCurve:
             SubsetCurveSpec(sizes=(1,), draws=10, seed=0)
         with pytest.raises(DomainError):
             SubsetCurveSpec(sizes=(3,), draws=0, seed=0)
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            SubsetCurveSpec(sizes=(3,), draws=10, seed=-1)
 
 
 class TestSectors:
