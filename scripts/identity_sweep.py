@@ -7,10 +7,11 @@ Usage: ``python scripts/identity_sweep.py [--entry] [--dump DIR] SRC_DIR > hashe
 and their inputs come from this checkout's ``perfbench/workloads.py`` and
 ``data/``. One ``sha256  name`` line is printed per standard output and per
 written file, so two checkouts are compared with ``diff`` on their listings.
-Commands that exit non-zero are listed with a hash of their exit code and
-standard error, and a command that raises with a hash of the exception's type
-name (``name.raised``). With ``--dump DIR`` every hashed output is also written to
-``DIR/name``, so the lines that differ are listed by ``diff -r`` on two dumps.
+Every command is also listed with a hash of its exit code and standard error
+(``name.exit``), and a command that raises, ``SystemExit`` included, with a
+hash of the exception's type name (``name.raised``). With ``--dump DIR`` every
+hashed output is also written to ``DIR/name``, so the lines that differ are
+listed by ``diff -r`` on two dumps.
 Each command runs in-process through ``cli.main``; with ``--entry`` it runs as a
 fresh ``python -m effport`` process on ``SRC_DIR`` instead, so the listing also
 checks the process entry, and matches the in-process one.
@@ -38,8 +39,12 @@ The sweep covers:
   and of a byte-order mark, a blank name and a repeated name in a
   correlation header, and of ``data/`` with every cell of one row blank (no
   asset left) by sliding;
+- asset names that hold a tab or a comma, through estimate-corr and
+  ``write_prices_csv``;
 - the refusals of flag values by fig1, fig2, subset-curve and sliding (exit
-  1), and of a subset size above the universe of ``data/`` (exit 2).
+  1), of an unknown command, a missing required flag and a flag value the
+  parser cannot convert (exit 1), and of a subset size above the universe of
+  ``data/`` (exit 2).
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ def run_cli(cli, name: str, argv: list[str], outputs: tuple[str, ...] = ()) -> N
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
-        except Exception as exc:
+        except (Exception, SystemExit) as exc:
             record(f"{name}.raised", type(exc).__name__.encode())
             return
         out, err = out.getvalue(), err.getvalue()
@@ -97,8 +102,7 @@ def run_cli(cli, name: str, argv: list[str], outputs: tuple[str, ...] = ()) -> N
             raised = err.rstrip().splitlines()[-1].split(":")[0].rsplit(".", 1)[-1]
             record(f"{name}.raised", raised.encode())
             return
-    if code != 0:
-        record(f"{name}.exit", f"{code}:{err}".encode())
+    record(f"{name}.exit", f"{code}:{err}".encode())
     record(f"{name}.stdout", out.encode())
     for path in outputs:
         record(f"{name}/{path}", Path(path).read_bytes())
@@ -205,6 +209,24 @@ def correlation_edge_cases(cli, marketdata, np) -> None:
     run_cli(cli, "edge/effsize-riskfree", ["effsize", "--prices", "riskfree.csv"])
 
 
+def odd_names(cli, marketdata) -> None:
+    rows = "2020-01-01,1,2,3\n2020-01-02,2,1,2\n2020-01-03,1.5,3,4\n2020-01-06,3,2.5,1\n"
+    for path, header in (("tab_name.csv", 'date,"A\tB",C,D\n'),
+                         ("comma_name.csv", 'date,"A,B",C,D\n')):
+        Path(path).write_text(header + rows)
+        run_cli(cli, f"names/estimate-corr-{path}", ["estimate-corr", path])
+        run_cli(cli, f"names/estimate-corr-out-{path}",
+                ["estimate-corr", path, "--out", f"{path}.tsv"])
+        if Path(f"{path}.tsv").exists():
+            record(f"names/{path}.tsv", Path(f"{path}.tsv").read_bytes())
+        try:
+            marketdata.write_prices_csv(marketdata.load_prices(path), f"copy_{path}")
+        except Exception as exc:
+            record(f"names/write-{path}.raised", type(exc).__name__.encode())
+        else:
+            record(f"names/write-{path}", Path(f"copy_{path}").read_bytes())
+
+
 def refusals(cli) -> None:
     Path("one.csv").write_text("date,A\n2020-01-01,1\n2020-01-02,2\n2020-01-03,3\n")
     Path("under.csv").write_text("date,A,B\n2020-01-01,1e20,1\n2020-01-02,1e-5,2\n"
@@ -292,6 +314,9 @@ def flag_refusals(cli) -> None:
         "subset-size-above-universe": ["subset-curve", *prices, "--sizes", "2,41"],
         "sliding-window-short": ["sliding", *prices, "--window", "10"],
         "sliding-step-zero": ["sliding", *prices, "--step", "0"],
+        "parser-unknown-command": ["frobnicate"],
+        "parser-missing-flag": ["subset-curve", "--sizes", "3"],
+        "parser-float": ["fig2", "--p", "x"],
     }
     for name, argv in cases.items():
         run_cli(cli, f"refuse/flags-{name}", argv)
@@ -327,6 +352,7 @@ def main(argv: list[str]) -> int:
         large_panel(cli, marketdata, np)
         sliding_edge_cases(cli, marketdata, np)
         correlation_edge_cases(cli, marketdata, np)
+        odd_names(cli, marketdata)
         refusals(cli)
         flag_refusals(cli)
         os.chdir(ROOT)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     InputShapeError,
     NearSingularError,
     ParseError,
-    fmt_float,
+    write_table,
 )
 
 if TYPE_CHECKING:
@@ -39,14 +39,6 @@ EXIT_NUMERIC = 3
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with code 1 on usage errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -74,22 +66,6 @@ def _number_list(text: str, kind=float) -> list:
 def _c_grid(text: str | None, points: int) -> list[float]:
     """The correlations of ``--c-grid``, or by default the first ``points`` of 0, 0.05, ..."""
     return _number_list(text) if text else [round(0.05 * i, 10) for i in range(points)]
-
-
-def _write_table(out_path: str | None, header: Sequence[str], rows: Iterable[Sequence[str]]):
-    lines = ["\t".join(header)]
-    lines.extend("\t".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _matrix_rows(assets: Sequence[str], values: np.ndarray):
-    for name, row in zip(assets, values):
-        yield [name] + [fmt_float(v) for v in row]
 
 
 def _read_corr_file(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatrix]:
@@ -148,20 +124,16 @@ def _cmd_estimate_corr(args) -> int:
 
     assets, corr = _corr_from_prices(args.prices)
     eigs = np.linalg.eigvalsh(corr.values)
-    summary_header = ["M", "mean_corr", "eig_min", "eig_max"]
-    summary_row = [
-        str(corr.dim),
-        fmt_float(effsize.average_correlation(corr)),
-        fmt_float(eigs[0]),
-        fmt_float(eigs[-1]),
-    ]
-    matrix_header = ["asset", *assets]
-    if args.out:
-        _write_table(args.out, matrix_header, _matrix_rows(assets, corr.values))
-        _write_table(None, summary_header, [summary_row])
-    else:
-        _write_table(None, matrix_header, _matrix_rows(assets, corr.values))
-        sys.stderr.write("\t".join(summary_header) + "\n" + "\t".join(summary_row) + "\n")
+    write_table(
+        args.out or sys.stdout, ("asset", *assets), (str, *[float] * corr.dim),
+        ((name, *row.tolist()) for name, row in zip(assets, corr.values)),
+    )
+    # the summary goes to stdout unless the matrix took it
+    write_table(
+        sys.stdout if args.out else sys.stderr, ("M", "mean_corr", "eig_min", "eig_max"),
+        (int, float, float, float),
+        [(corr.dim, effsize.average_correlation(corr), eigs[0], eigs[-1])],
+    )
     return EXIT_OK
 
 
@@ -174,14 +146,11 @@ def _cmd_effsize(args) -> int:
     else:
         assets, corr = _read_corr_file(args.corr)
     report = effsize.effsize_report(corr, partition=_partition(args, assets))
-    row = [
-        str(report.m),
-        fmt_float(report.m_exact),
-        fmt_float(report.m_even),
-        fmt_float(report.m_uniform) if report.m_uniform is not None else "nan",
-        fmt_float(report.m_sector) if report.m_sector is not None else "nan",
-    ]
-    _write_table(args.out, ["M", "m_exact", "m_even", "m_uniform", "m_sector"], [row])
+    optional = [np.nan if v is None else v for v in (report.m_uniform, report.m_sector)]
+    write_table(
+        args.out or sys.stdout, ("M", "m_exact", "m_even", "m_uniform", "m_sector"),
+        (int, float, float, float, float), [(report.m, report.m_exact, report.m_even, *optional)],
+    )
     return EXIT_OK
 
 
@@ -201,11 +170,10 @@ def _cmd_subset_curve(args) -> int:
             f"out of {spec.draws * len(spec.sizes)}",
             file=sys.stderr,
         )
-    rows = [
-        [str(pt.size), fmt_float(pt.m_exact), fmt_float(pt.m_sector), fmt_float(pt.m_even)]
-        for pt in points
-    ]
-    _write_table(args.out, ["M", "m_exact", "m_sector", "m_even"], rows)
+    write_table(
+        args.out or sys.stdout, ("M", "m_exact", "m_sector", "m_even"), (int, float, float, float),
+        [(pt.size, pt.m_exact, pt.m_sector, pt.m_even) for pt in points],
+    )
     return EXIT_OK
 
 
@@ -224,8 +192,10 @@ def _cmd_sliding(args) -> int:
             "have m_ef = nan",
             file=sys.stderr,
         )
-    rows = [[pt.end_date, fmt_float(pt.m_ef), fmt_float(pt.annualized_return)] for pt in points]
-    _write_table(args.out, ["date", "m_ef", "annual_return"], rows)
+    write_table(
+        args.out or sys.stdout, ("date", "m_ef", "annual_return"), (str, float, float),
+        [(pt.end_date, pt.m_ef, pt.annualized_return) for pt in points],
+    )
     return EXIT_OK
 
 
@@ -237,11 +207,13 @@ def _cmd_fig1(args) -> int:
     with _flags():
         grids = kelly.m_ef_kelly_numeric_grids(args.m, p_values, c_grid)
         rows = [
-            [fmt_float(p), fmt_float(c), fmt_float(binmodel.m_ef_uniform(args.m, c)),
-             fmt_float(value)]
+            (p, c, binmodel.m_ef_uniform(args.m, c), value)
             for p, numeric in zip(p_values, grids) for c, value in zip(c_grid, numeric)
         ]
-    _write_table(args.out, ["p", "C", "m_ef_approx", "m_ef_numeric"], rows)
+    write_table(
+        args.out or sys.stdout, ("p", "C", "m_ef_approx", "m_ef_numeric"),
+        (float, float, float, float), rows,
+    )
     return EXIT_OK
 
 
@@ -251,8 +223,10 @@ def _cmd_fig2(args) -> int:
     c_grid = _c_grid(args.c_grid, 13)
     with _flags():
         results = kelly.misestimation_experiment(args.m, args.p, args.c_true, c_grid)
-    rows = [[fmt_float(r.c_assumed), fmt_float(r.g_realized)] for r in results]
-    _write_table(args.out, ["C_assumed", "G_realized"], rows)
+    write_table(
+        args.out or sys.stdout, ("C_assumed", "G_realized"), (float, float),
+        [(r.c_assumed, r.g_realized) for r in results],
+    )
     return EXIT_OK
 
 
@@ -270,25 +244,19 @@ def _cmd_variance_ratio(args) -> int:
     index_returns = marketdata.returns_matrix(index_panel)[:, 0]
     ratio = effsize.m_ef_variance_ratio(index_returns, marketdata.returns_matrix(panel))
     index_var = effsize._variance(index_returns)
-    mean_var = ratio * index_var
-    row = [
-        str(panel.n_assets),
-        fmt_float(mean_var),
-        fmt_float(index_var),
-        fmt_float(ratio),
-    ]
-    _write_table(
-        args.out, ["M", "mean_constituent_variance", "index_variance", "ratio"], [row]
+    write_table(
+        args.out or sys.stdout, ("M", "mean_constituent_variance", "index_variance", "ratio"),
+        (int, float, float, float), [(panel.n_assets, ratio * index_var, index_var, ratio)],
     )
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="effport",
         description="Effective portfolio size from correlation structure.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate-corr", help="estimate a correlation matrix from prices")
     p.add_argument("prices", help="price panel CSV")
@@ -343,8 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (status 2) or the help (status 0)
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -1,4 +1,4 @@
-"""Exception hierarchy and output number format shared by all effport modules."""
+"""Exception hierarchy and the table writer shared by all effport modules."""
 
 
 class EffportError(Exception):
@@ -47,6 +47,33 @@ class DataError(EffportError):
     """An input file parsed but its contents violate the data contract."""
 
 
+#: The conversion of each column kind of a written table: floats get 10
+#: significant digits (NaN as 'nan', infinities as 'inf' and '-inf').
+_CONVERSIONS = {str: "%s", int: "%d", float: "%.10g"}
+
+
 def fmt_float(x: float) -> str:
-    """Render a float with 10 significant digits (NaN as 'nan')."""
-    return f"{float(x):.10g}"
+    """Render one float as :func:`write_table` renders a float column."""
+    return _CONVERSIONS[float] % float(x)
+
+
+def write_table(dest, header, kinds, rows, delimiter: str = "\t") -> None:
+    """Write ``header`` and then each tuple of ``rows``, converted by the column
+    ``kinds`` (``str``, ``int`` or ``float``) through one template per table, to
+    a path or an open text file ``dest``, one line each.
+
+    A header field that holds the delimiter, a quote or a line break would not
+    read back as one field, so it raises DataError before ``dest`` is opened.
+    """
+    for name in header:
+        bad = [c for c in (delimiter, '"', "\r", "\n") if c in name]
+        if bad:
+            raise DataError(f"header field {name!r} holds {bad[0]!r}, so it would not read back")
+    template = delimiter.join([_CONVERSIONS[kind] for kind in kinds]) + "\n"
+    fh = dest if hasattr(dest, "write") else open(dest, "w", newline="\n")
+    try:
+        fh.write(delimiter.join(header) + "\n")
+        fh.writelines(template % row for row in rows)
+    finally:
+        if fh is not dest:
+            fh.close()

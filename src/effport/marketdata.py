@@ -30,8 +30,7 @@ import numpy as np
 
 from .corrmat import _centred_sums, _to_correlations, correlation_values
 from .effsize import SectorPartition, m_ef_even_stack, m_ef_exact_stack, m_ef_sector_stack
-from .errors import DataError, DomainError, InputShapeError, ParseError
-from .errors import fmt_float  # noqa: F401  (re-exported; the writer's format)
+from .errors import DataError, DomainError, InputShapeError, ParseError, write_table
 
 #: Annualization factor: trading days per year.
 TRADING_DAYS_PER_YEAR = 252
@@ -629,15 +628,9 @@ def panel_from_returns(
 
 def write_prices_csv(panel: PricePanel, dest) -> None:
     """Write a panel in the loader's CSV format with 10-significant-digit prices,
-    formatting one row at a time so that little memory is used beyond the panel."""
-    # "%.10g" % x is fmt_float(x), character for character
-    row = "%s," + ",".join(["%.10g"] * panel.n_assets) + "\n"
-    fh, owns = (dest, False) if hasattr(dest, "write") else (open(dest, "w", newline="\n"), True)
-    try:
-        fh.write("date," + ",".join(panel.assets) + "\n")
-        fh.writelines(
-            row % (date, *values.tolist()) for date, values in zip(panel.dates, panel.prices)
-        )
-    finally:
-        if owns:
-            fh.close()
+    formatting one row at a time so that little memory is used beyond the panel.
+    An asset name with a comma, a quote or a line break raises DataError."""
+    write_table(
+        dest, ("date", *panel.assets), (str, *[float] * panel.n_assets),
+        ((date, *values.tolist()) for date, values in zip(panel.dates, panel.prices)), ",",
+    )

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from effport import cli, kelly
 from effport.corrmat import uniform_matrix
 from effport.kelly import MAX_SYMMETRIC_ASSETS
-from effport.marketdata import fmt_float, panel_from_returns, write_prices_csv
+from effport.errors import fmt_float
+from effport.marketdata import panel_from_returns, write_prices_csv
 
 
 def run(argv, capsys):
@@ -94,6 +95,19 @@ class TestEstimateCorr:
         code, _, err = run(["estimate-corr", str(bad)], capsys)
         assert code == 2
         assert "line 3" in err and "field larger than field limit" in err
+
+    # the loader reads the quoted name A<tab>B, which a TSV header cannot hold
+    @pytest.mark.parametrize("out", [[], ["--out", "corr.tsv"]])
+    def test_name_holding_a_tab_exits_2_before_writing(self, out, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.csv").write_text('date,"A\tB",C\n2020-01-02,1,2\n2020-01-03,2,1\n'
+                                        "2020-01-06,1.5,3\n")
+        code, stdout, stderr = run(["estimate-corr", "p.csv", *out], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == ("effport: data error: header field 'A\\tB' holds '\\t', "
+                          "so it would not read back\n")
+        assert not (tmp_path / "corr.tsv").exists()
 
     def test_input_file_not_mutated(self, tmp_path, small_panel_path, capsys):
         before = small_panel_path.read_bytes()
@@ -689,27 +703,41 @@ def test_flag_values_keep_the_exit_contract(argv, price_files):
     argv = [arg.format(**price_files) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            # the parser's refusal of a flag it cannot convert (see TestParserBehavior)
-            code = exc.code
+        code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     assert code == 0 or out.getvalue() == ""
 
 
 class TestParserBehavior:
+    """argparse's refusals return 1 from main, with nothing on stdout and its
+    usage line and message on stderr."""
+
+    @staticmethod
+    def assert_refused(argv, usage, message, capsys):
+        code, stdout, stderr = run(argv, capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"usage: {usage} [-h]")
+        assert stderr.splitlines()[-1].startswith(message)
+
     def test_unknown_command_exits_1(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["frobnicate"])
-        assert exc.value.code == 1
-        capsys.readouterr()
+        self.assert_refused(["frobnicate"], "effport",
+                            "effport: error: argument command: invalid choice: 'frobnicate'",
+                            capsys)
 
     def test_missing_required_flag_exits_1(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["subset-curve", "--sizes", "3"])
-        assert exc.value.code == 1
-        capsys.readouterr()
+        self.assert_refused(
+            ["subset-curve", "--sizes", "3"], "effport subset-curve",
+            "effport subset-curve: error: the following arguments are required: --prices", capsys,
+        )
+
+    def test_unconvertible_flag_value_exits_1(self, capsys):
+        self.assert_refused(["fig2", "--p=x"], "effport fig2",
+                            "effport fig2: error: argument --p: invalid float value: 'x'", capsys)
+
+    def test_help_exits_0(self, capsys):
+        code, stdout, stderr = run(["fig1", "--help"], capsys)
+        assert (code, stderr) == (0, "")
+        assert stdout.startswith("usage: effport fig1 [-h]")
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -737,21 +765,23 @@ def entry(*argv: str) -> subprocess.CompletedProcess:
 
 
 def entry_cases(tmp_path):
-    """One command of each exit class: 0, 1 (usage), 2 (data) and 3 (numerical)."""
+    """Commands of each exit class: 0, 1 (usage, the library's and the parser's),
+    2 (data) and 3 (numerical)."""
     bad = tmp_path / "bad.csv"
     bad.write_text("date,A,B\n2020-01-02,1,2\n2020-01-03,-1,2\n")
     singular = tmp_path / "corr.tsv"
     write_corr_file(singular, np.array([[1.0, 1.0], [1.0, 1.0]]))
-    return {
-        0: ["fig2", "--m", "4", "--p", "0.55", "--c-true", "0.2", "--c-grid", "0.1,0.2"],
-        1: ["fig1", "--p-list", "0.5"],
-        2: ["estimate-corr", str(bad)],
-        3: ["effsize", "--corr", str(singular)],
-    }
+    return [
+        (0, ["fig2", "--m", "4", "--p", "0.55", "--c-true", "0.2", "--c-grid", "0.1,0.2"]),
+        (1, ["fig1", "--p-list", "0.5"]),
+        (1, ["frobnicate"]),
+        (2, ["estimate-corr", str(bad)]),
+        (3, ["effsize", "--corr", str(singular)]),
+    ]
 
 
 def test_entry_matches_in_process_main(tmp_path, capsys):
-    for expected, argv in entry_cases(tmp_path).items():
+    for expected, argv in entry_cases(tmp_path):
         code, stdout, stderr = run(argv, capsys)
         assert code == expected, argv
         child = entry(*argv)
@@ -877,7 +907,8 @@ def test_moved_names_stay_the_same_objects():
     from effport import binmodel, effsize, errors, marketdata
 
     assert effsize.m_ef_uniform is binmodel.m_ef_uniform
-    assert marketdata.fmt_float is errors.fmt_float is cli.fmt_float
+    # every table is written by the one writer
+    assert marketdata.write_table is errors.write_table is cli.write_table
 
 
 def test_readme_quick_tour_runs_as_written():

@@ -1,6 +1,7 @@
 import io
 import os
 import runpy
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,12 +10,11 @@ import pytest
 
 from effport import marketdata
 from effport.effsize import SectorPartition
-from effport.errors import DataError, DomainError, InputShapeError, ParseError
+from effport.errors import DataError, DomainError, InputShapeError, ParseError, fmt_float
 from effport.marketdata import (
     PricePanel,
     SubsetCurveSpec,
     WindowSpec,
-    fmt_float,
     load_prices,
     load_sectors,
     panel_from_returns,
@@ -464,17 +464,23 @@ class TestPanelRoundTrip:
         panel = panel_from_returns(returns, scale=0.01)
         assert np.all(panel.prices > 0)
 
-    def test_writer_renders_with_fmt_float(self):
-        values = [[1234.5678949, 5.0], [1e-7, 123456789012.0], [0.1 + 0.2, 2.5e300]]
-        panel = PricePanel(dates=("2020-01-02", "2020-01-03", "2020-01-06"),
+    def test_writer_renders_with_fmt_float(self, tmp_path, capsys):
+        values = [[1234.5678949, 5.0], [1e-7, 123456789012.0], [0.1 + 0.2, 2.5e300],
+                  [5e-324, 1e308]]
+        panel = PricePanel(dates=("2020-01-02", "2020-01-03", "2020-01-06", "2020-01-07"),
                            assets=("X", "Y"), prices=np.array(values))
-        out = io.StringIO()
-        write_prices_csv(panel, out)
         expected = ["date,X,Y"] + [
             date + "," + ",".join(fmt_float(v) for v in row)
             for date, row in zip(panel.dates, values)
         ]
-        assert out.getvalue() == "\n".join(expected) + "\n"
+        # a path, an open file and sys.stdout receive the same bytes
+        out = io.StringIO()
+        write_prices_csv(panel, out)
+        write_prices_csv(panel, tmp_path / "p.csv")
+        write_prices_csv(panel, sys.stdout)
+        written = [out.getvalue(), (tmp_path / "p.csv").read_bytes().decode(),
+                   capsys.readouterr().out]
+        assert written == ["\n".join(expected) + "\n"] * 3
 
     def test_sample_data_regenerates_byte_identical(self, tmp_path):
         # guards the writer's byte contract on the bundled data

@@ -29,7 +29,7 @@ from effport.corrmat import (
     symmetric_inverse,
 )
 from effport.effsize import effsize_report, m_ef_exact_stack
-from effport.errors import NearSingularError
+from effport.errors import DataError, NearSingularError, fmt_float, write_table
 from effport.kelly import (
     FEASIBILITY_EPS,
     MAX_SYMMETRIC_ASSETS,
@@ -344,22 +344,57 @@ def test_load_prices_matches_row_reader_in_small_blocks(text, tmp_path_factory):
         assert load_outcome(lambda s: marketdata.load_prices(path), text) == rows
 
 
+#: Asset names as the loader may read them from quoted header fields; a comma,
+#: a quote or a line break cannot be written back into a price header.
+ASSET_NAMES = st.lists(
+    st.text("Ab1 ,\"\t\r\n'\u00e9", min_size=1, max_size=4).filter(lambda s: s == s.strip()),
+    min_size=4, max_size=4, unique=True,
+) | st.just(["A0", "A1", "A2", "A3"])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     prices=arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 4)),
                   elements=st.floats(1e-300, 1e300)),
     first_day=st.integers(0, 2_000_000),
+    names=ASSET_NAMES,
 )
-def test_written_panel_reads_back(prices, first_day):
+@example(prices=np.ones((2, 2)), first_day=0, names=["A,B", "C", "D", "E"])
+@example(prices=np.ones((2, 2)), first_day=0, names=["A\tB", "C", "D", "E"])
+def test_written_panel_reads_back(prices, first_day, names):
     t, m = prices.shape
     dates = tuple(datetime.date.fromordinal(1 + first_day + i).isoformat() for i in range(t))
-    panel = marketdata.PricePanel(dates, tuple(f"A{j}" for j in range(m)), prices)
+    panel = marketdata.PricePanel(dates, tuple(names[:m]), prices)
     out = io.StringIO()
+    if any(c in name for name in panel.assets for c in ',"\r\n'):
+        with pytest.raises(DataError, match="^header field .* so it would not read back$"):
+            marketdata.write_prices_csv(panel, out)
+        assert out.getvalue() == ""
+        return
     marketdata.write_prices_csv(panel, out)
     loaded = marketdata.load_prices(io.StringIO(out.getvalue()))
     assert (loaded.dates, loaded.assets, loaded.dropped_assets) == (dates, panel.assets, ())
-    rounded = [[float(marketdata.fmt_float(v)) for v in row] for row in prices]
+    rounded = [[float(fmt_float(v)) for v in row] for row in prices]
     assert np.array_equal(loaded.prices, rounded)
     # 10 significant digits: relative error at most half a unit in the 10th digit
     # (plus the binary rounding of the decimal, hence the slack)
     assert np.all(np.abs(loaded.prices - prices) <= 5.0001e-10 * prices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(), n=st.integers())
+@example(x=float("nan"), n=0)
+@example(x=float("inf"), n=-1)
+@example(x=float("-inf"), n=2**70)
+@example(x=-0.0, n=-(2**70))
+@example(x=5e-324, n=1)
+@example(x=-2.2250738585072014e-308, n=1)
+@example(x=1e308, n=1)
+@example(x=-1e308, n=1)
+def test_table_conversions(x, n):
+    # a float column renders as fmt_float, which keeps its 10-digit format, and
+    # an int column as str
+    out = io.StringIO()
+    write_table(out, ("n", "x"), (int, float), [(n, x)])
+    assert fmt_float(x) == f"{x:.10g}"
+    assert out.getvalue() == f"n\tx\n{n}\t{fmt_float(x)}\n"
