@@ -40,7 +40,9 @@ The sweep covers:
   correlation header, and of ``data/`` with every cell of one row blank (no
   asset left) by sliding;
 - asset names that hold a tab or a comma, through estimate-corr and
-  ``write_prices_csv``;
+  ``write_prices_csv``, and blank, repeated and space-padded names through
+  ``panel_from_returns`` and ``write_prices_csv``, with estimate-corr on any
+  file written;
 - the refusals of flag values by fig1, fig2, subset-curve and sliding (exit
   1), of an unknown command, a missing required flag and a flag value the
   parser cannot convert (exit 1), and of a subset size above the universe of
@@ -209,6 +211,18 @@ def correlation_edge_cases(cli, marketdata, np) -> None:
     run_cli(cli, "edge/effsize-riskfree", ["effsize", "--prices", "riskfree.csv"])
 
 
+def write_copy(marketdata, path: str, panel_of) -> bool:
+    """Write the panel ``panel_of()`` to ``copy_<path>`` and record the file, or
+    the type name of the exception either call raised; True if written."""
+    try:
+        marketdata.write_prices_csv(panel_of(), f"copy_{path}")
+    except Exception as exc:
+        record(f"names/write-{path}.raised", type(exc).__name__.encode())
+        return False
+    record(f"names/write-{path}", Path(f"copy_{path}").read_bytes())
+    return True
+
+
 def odd_names(cli, marketdata) -> None:
     rows = "2020-01-01,1,2,3\n2020-01-02,2,1,2\n2020-01-03,1.5,3,4\n2020-01-06,3,2.5,1\n"
     for path, header in (("tab_name.csv", 'date,"A\tB",C,D\n'),
@@ -219,12 +233,12 @@ def odd_names(cli, marketdata) -> None:
                 ["estimate-corr", path, "--out", f"{path}.tsv"])
         if Path(f"{path}.tsv").exists():
             record(f"names/{path}.tsv", Path(f"{path}.tsv").read_bytes())
-        try:
-            marketdata.write_prices_csv(marketdata.load_prices(path), f"copy_{path}")
-        except Exception as exc:
-            record(f"names/write-{path}.raised", type(exc).__name__.encode())
-        else:
-            record(f"names/write-{path}", Path(f"copy_{path}").read_bytes())
+        write_copy(marketdata, path, lambda: marketdata.load_prices(path))
+    returns = [[0.01, -0.02], [0.03, 0.01], [-0.01, 0.02]]
+    for path, assets in (("blank_name.csv", ["", "B"]), ("repeated_name.csv", ["A", "A"]),
+                         ("padded_name.csv", [" A", "B"])):
+        if write_copy(marketdata, path, lambda: marketdata.panel_from_returns(returns, assets)):
+            run_cli(cli, f"names/estimate-corr-copy_{path}", ["estimate-corr", f"copy_{path}"])
 
 
 def refusals(cli) -> None:

@@ -36,7 +36,7 @@ _EXPORTS = {
     "kelly": (
         "MAX_SYMMETRIC_ASSETS", "GrowthResult", "MisestimationResult", "growth_rate",
         "kelly_first_order", "kelly_fraction_binary", "m_ef_kelly_numeric",
-        "m_ef_kelly_numeric_grid", "maximize_growth_symmetric", "misestimation_experiment",
+        "m_ef_kelly_numeric_grids", "maximize_growth_symmetric", "misestimation_experiment",
     ),
     "marketdata": (
         "PricePanel", "SubsetCurveSpec", "WindowSpec", "load_prices", "load_sectors",

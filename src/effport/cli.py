@@ -41,11 +41,6 @@ class _UsageError(Exception):
     pass
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise _UsageError(message)
-
-
 @contextmanager
 def _flags():
     """Report a library refusal of a flag value as a usage error."""
@@ -75,7 +70,7 @@ def _read_corr_file(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatr
     with open(path, "r", newline="") as fh:
         assets, table = marketdata.csv_table(fh, "asset", delimiter="\t")
         rows, names = [], []
-        for lineno, row in table(len(assets) + 1):
+        for lineno, row in table:
             names.append(row[0].strip())
             try:
                 rows.append([float(tok) for tok in row[1:]])
@@ -140,7 +135,8 @@ def _cmd_estimate_corr(args) -> int:
 def _cmd_effsize(args) -> int:
     from . import effsize
 
-    _require(bool(args.prices) != bool(args.corr), "give exactly one of --prices or --corr")
+    if bool(args.prices) == bool(args.corr):
+        raise _UsageError("give exactly one of --prices or --corr")
     if args.prices:
         assets, corr = _corr_from_prices(args.prices)
     else:

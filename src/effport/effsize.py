@@ -9,9 +9,9 @@ sector-reduced estimate, and the variance-ratio estimate from index data.
 The closed form for uniform correlations, ``m_ef_uniform``, lives with the
 uniform model in :mod:`effport.binmodel` and is importable from here too.
 
-The exact, even and sector estimates also come in stacked form
-(``*_stack``), evaluated for a whole (k, M, M) stack of matrices at once
-through the same formulas; a value that is undefined for one matrix is NaN.
+:func:`m_ef_stack` evaluates the exact, even and sector estimates for a
+whole (k, M, M) stack of matrices in one call, through the same formulas; a
+value that is undefined or refused for one matrix is NaN.
 """
 
 from __future__ import annotations
@@ -95,14 +95,6 @@ def m_ef_exact(cinv) -> float:
     return float(np.sum(_matrix_values(cinv)))
 
 
-def m_ef_exact_stack(a: np.ndarray) -> np.ndarray:
-    """Exact effective size of every matrix in a (k, M, M) stack.
-
-    NaN where :func:`~effport.corrmat.solve_ones_stack` refuses the matrix.
-    """
-    return solve_ones_stack(a).m_ef
-
-
 def _even_terms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """<C> and the denominator 1 + (M-1)<C> for a (..., M, M) stack."""
     m = a.shape[-1]
@@ -135,15 +127,6 @@ def m_ef_even(c) -> float:
             "estimate undefined for such negative average correlation"
         )
     return float(m / denom)
-
-
-def m_ef_even_stack(a: np.ndarray) -> np.ndarray:
-    """:func:`m_ef_even` for every matrix of a (k, M, M) stack, M >= 2.
-
-    NaN where the denominator is nonpositive.
-    """
-    _, denom = _even_terms(a)
-    return a.shape[-1] / np.where(denom > 0.0, denom, np.nan)
 
 
 def _sector_weights(codes: np.ndarray, n: int) -> np.ndarray:
@@ -179,25 +162,30 @@ def m_ef_sector(c, partition: SectorPartition) -> float:
     return float(solve_ones(reduce_to_sectors(c, partition)).m_ef[0])
 
 
-def m_ef_sector_stack(a: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """:func:`m_ef_sector` for every matrix of a (k, M, M) stack.
+def m_ef_stack(a: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+    """The (3, k) exact, even and sector effective sizes of a (k, M, M) stack, M >= 2.
 
     ``codes`` (k, M) gives each asset's sector as an index into one sorted
     label list; only the sectors present in a matrix enter its reduction, in
-    that order. NaN where the reduced matrix is refused.
+    that order. A value is NaN where it is undefined or refused (as by
+    :func:`~effport.corrmat.solve_ones_stack`); the sector row is NaN without ``codes``.
     """
-    present = np.zeros((codes.shape[0], int(codes.max()) + 1), dtype=bool)
-    np.put_along_axis(present, codes, True, axis=1)
-    # rank of each present sector among the sectors of its own matrix
-    local = np.take_along_axis(np.cumsum(present, axis=1) - 1, codes, axis=1)
-    counts = present.sum(axis=1)
-    out = np.empty(codes.shape[0])
-    # np.unique would import numpy.ma; this gives the same counts in the same order
-    for n in np.flatnonzero(np.bincount(counts)):
-        # a view, not a copy of the stack, when every matrix has n sectors
-        rows = counts == n if (counts != n).any() else slice(None)
-        weights = _sector_weights(local[rows], int(n))
-        out[rows] = m_ef_exact_stack(_reduce(a[rows], weights))
+    out = np.full((3, len(a)), np.nan)
+    out[0] = solve_ones_stack(a).m_ef
+    _, denom = _even_terms(a)
+    out[1] = a.shape[-1] / np.where(denom > 0.0, denom, np.nan)
+    if codes is not None:
+        present = np.zeros((codes.shape[0], int(codes.max()) + 1), dtype=bool)
+        np.put_along_axis(present, codes, True, axis=1)
+        # rank of each present sector among the sectors of its own matrix
+        local = np.take_along_axis(np.cumsum(present, axis=1) - 1, codes, axis=1)
+        counts = present.sum(axis=1)
+        # np.unique would import numpy.ma; this gives the same counts in the same order
+        for n in np.flatnonzero(np.bincount(counts)):
+            # a view, not a copy of the stack, when every matrix has n sectors
+            rows = counts == n if (counts != n).any() else slice(None)
+            weights = _sector_weights(local[rows], int(n))
+            out[2, rows] = solve_ones_stack(_reduce(a[rows], weights)).m_ef
     return out
 
 

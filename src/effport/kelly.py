@@ -226,14 +226,9 @@ def m_ef_kelly_numeric_grids(
     return grids
 
 
-def m_ef_kelly_numeric_grid(m: int, p: float, c_grid: Sequence[float]) -> list[float]:
-    """:func:`m_ef_kelly_numeric_grids` at the one win probability ``p``."""
-    return m_ef_kelly_numeric_grids(m, [p], c_grid)[0]
-
-
 def m_ef_kelly_numeric(m: int, p: float, c: float) -> float:
-    """:func:`m_ef_kelly_numeric_grid` at the one correlation ``c``."""
-    return m_ef_kelly_numeric_grid(m, p, [c])[0]
+    """:func:`m_ef_kelly_numeric_grids` at the one point (``p``, ``c``)."""
+    return m_ef_kelly_numeric_grids(m, [p], [c])[0][0]
 
 
 def misestimation_experiment(

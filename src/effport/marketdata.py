@@ -28,8 +28,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corrmat import _centred_sums, _to_correlations, correlation_values
-from .effsize import SectorPartition, m_ef_even_stack, m_ef_exact_stack, m_ef_sector_stack
+from .corrmat import _centred_sums, _to_correlations, correlation_values, solve_ones_stack
+from .effsize import SectorPartition, m_ef_stack
 from .errors import DataError, DomainError, InputShapeError, ParseError, write_table
 
 #: Annualization factor: trading days per year.
@@ -78,6 +78,12 @@ class PricePanel:
             raise DataError("dates must be strictly increasing")
         if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
             raise DataError("all prices must be positive and finite")
+        # the header rule of load_prices, so that a written panel reads back
+        for name in self.assets:
+            if not isinstance(name, str) or not name or name != name.strip():
+                raise DataError(f"asset name {name!r} is blank, padded with spaces or no string")
+        if len(set(self.assets)) != len(self.assets):
+            raise DataError("duplicate asset names")
         if p.flags.writeable or not (p.flags.owndata and p.flags.c_contiguous):
             p = np.array(p)
             p.flags.writeable = False
@@ -154,11 +160,11 @@ def _open_text(source):
 
 
 def csv_table(fh, first: str, delimiter: str = ",", fixed: tuple[str, ...] = ()):
-    """The :func:`_header_names` of a delimited table and a generator function ``rows``.
+    """The :func:`_header_names` of a delimited table and a generator of its rows.
 
-    ``rows(width)`` yields ``(line, row)`` for each nonblank row after the
-    header and raises ParseError, naming the line, for a row that does not
-    hold ``width`` fields, and at the end if it yielded nothing. An empty file
+    The generator yields ``(line, row)`` for each nonblank row after the
+    header and raises ParseError, naming the line, for a row without one field
+    per header field, and at the end if it yielded nothing. An empty file
     raises ParseError, and so does a csv.Error (such as a field longer than
     ``csv.field_size_limit()``), naming the line.
     """
@@ -175,7 +181,10 @@ def csv_table(fh, first: str, delimiter: str = ",", fixed: tuple[str, ...] = ())
     if header is None:
         raise ParseError("empty file")
 
-    def rows(width: int):
+    names = _header_names(header, first, fixed)
+    width = len(names) + 1
+
+    def rows():
         found = False
         for line, row in enumerate(records, start=2):
             if not row:
@@ -187,7 +196,7 @@ def csv_table(fh, first: str, delimiter: str = ",", fixed: tuple[str, ...] = ())
         if not found:
             raise ParseError("file holds no data rows")
 
-    return _header_names(header, first, fixed), rows
+    return names, rows()
 
 
 def load_prices(source) -> PricePanel:
@@ -305,7 +314,7 @@ def _load_rows(fh) -> PricePanel:
 
     dates: list[str] = []
     rows: list[list[float]] = []
-    for lineno, row in table(len(assets) + 1):
+    for lineno, row in table:
         token = row[0].strip()
         try:
             # fromisoformat alone also takes 20080103 on Python >= 3.11
@@ -386,7 +395,7 @@ def sliding_window_effsize(panel: PricePanel, window: WindowSpec) -> list[Window
     returns = returns_matrix(panel)
     rows = window.length - 1
     m_ef = np.concatenate([
-        m_ef_exact_stack(corrs) for corrs in _window_correlations(returns, rows, window.step)
+        solve_ones_stack(corrs).m_ef for corrs in _window_correlations(returns, rows, window.step)
     ])
     # a window's returns are one contiguous run of the flattened matrix, so
     # summing each run equals the window's own .mean() bit for bit
@@ -508,15 +517,6 @@ def _draw_subsets(rng: np.random.Generator, universe: int, size: int, count: int
     return idx
 
 
-def _evaluate_subsets(corr: np.ndarray, idx: np.ndarray, codes: np.ndarray | None):
-    """Exact, even and sector estimates (NaN where undefined) for index rows."""
-    sub = corr[idx[:, :, None], idx[:, None, :]]
-    sector = (
-        m_ef_sector_stack(sub, codes[idx]) if codes is not None else np.full(len(idx), np.nan)
-    )
-    return np.stack([m_ef_exact_stack(sub), m_ef_even_stack(sub), sector])
-
-
 def subset_curve(
     panel: PricePanel,
     spec: SubsetCurveSpec,
@@ -547,11 +547,11 @@ def subset_curve(
         blocks = []
         for first in range(0, spec.draws, k):
             idx = _draw_subsets(rng, universe, size, min(k, spec.draws - first))
-            blocks.append(_evaluate_subsets(corr, idx, codes))
-        exact, even, sector = np.concatenate(blocks, axis=1)
-        keep = ~(np.isnan(exact) | np.isnan(even))
-        if codes is not None:
-            keep &= ~np.isnan(sector)
+            sub = corr[idx[:, :, None], idx[:, None, :]]
+            blocks.append(m_ef_stack(sub, None if codes is None else codes[idx]))
+        exact, even, sector = estimates = np.concatenate(blocks, axis=1)
+        # the sector row counts only when there are sectors
+        keep = ~np.isnan(estimates[: 2 if codes is None else 3]).any(axis=0)
         points.append(
             SubsetCurvePoint(
                 size=size,
@@ -570,7 +570,7 @@ def load_sectors(source) -> dict[str, str]:
     try:
         _, table = csv_table(fh, "asset", fixed=("sector",))
         mapping: dict[str, str] = {}
-        for lineno, row in table(2):
+        for lineno, row in table:
             asset, sector = row[0].strip(), row[1].strip()
             if not asset or not sector:
                 raise ParseError("empty asset or sector name", line=lineno)

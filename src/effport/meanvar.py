@@ -81,7 +81,11 @@ def portfolio_moments(weights, mu, sigma, corr: CorrelationMatrix) -> tuple[floa
     return r_p, v_p
 
 
-def _inverse_entry_sum(cinv: InverseCorrelationMatrix) -> float:
+def _inverse_entry_sum(params: IdenticalAssetParams, cinv: InverseCorrelationMatrix) -> float:
+    if params.mu == 0.0:
+        raise DomainError("mean return must be nonzero to target a nonzero portfolio return")
+    if cinv.dim != params.m:
+        raise InputShapeError(f"params are for {params.m} assets but matrix has {cinv.dim}")
     s = float(np.sum(cinv.values))
     if s <= 0.0:
         raise DomainError(f"entry sum of the inverse must be positive, got {s:.6g}")
@@ -96,11 +100,7 @@ def minimal_variance_identical(
     V* = sigma^2 R_P^2 / (mu^2 * S) with S the entry sum of the inverse
     correlation matrix. Increasing in |R_P| and quadratic in it.
     """
-    if params.mu == 0.0:
-        raise DomainError("mean return must be nonzero to target a nonzero portfolio return")
-    if cinv.dim != params.m:
-        raise InputShapeError(f"params are for {params.m} assets but matrix has {cinv.dim}")
-    s = _inverse_entry_sum(cinv)
+    s = _inverse_entry_sum(params, cinv)
     return (params.sigma**2 * target_return**2) / (params.mu**2 * s)
 
 
@@ -108,10 +108,6 @@ def mv_optimal_weights(
     target_return: float, params: IdenticalAssetParams, cinv: InverseCorrelationMatrix
 ) -> PortfolioWeights:
     """Weights attaining the minimal variance: f = (R_P / (mu S)) C^{-1} 1."""
-    if params.mu == 0.0:
-        raise DomainError("mean return must be nonzero to target a nonzero portfolio return")
-    if cinv.dim != params.m:
-        raise InputShapeError(f"params are for {params.m} assets but matrix has {cinv.dim}")
-    s = _inverse_entry_sum(cinv)
+    s = _inverse_entry_sum(params, cinv)
     row_sums = cinv.values @ np.ones(cinv.dim)
     return PortfolioWeights(target_return / (params.mu * s) * row_sums)

@@ -17,7 +17,7 @@ from effport.corrmat import (
     uniform_inverse_closed_form,
     uniform_matrix,
 )
-from effport.effsize import m_ef_exact_stack
+from effport.effsize import effsize_report, m_ef_stack
 from effport.errors import DomainError, InputShapeError, NearSingularError
 
 
@@ -193,7 +193,7 @@ class TestInvert:
             symmetric_inverse(a)
         out = solve_ones_stack(a[None])
         assert not out.usable[0] and np.isnan(out.m_ef[0]) and out.rcond[0] == 0.0
-        assert np.isnan(m_ef_exact_stack(a[None])[0])
+        assert np.isnan(m_ef_stack(a[None])[0, 0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_double_inversion_roundtrip(self, seed, random_correlation):
@@ -212,6 +212,18 @@ class TestInvert:
         c = uniform_matrix(3, 0.2)
         with pytest.raises(NearSingularError):
             InverseCorrelationMatrix(values=np.eye(3) * 5.0, source=c, reciprocal_condition=1.0)
+
+    def test_inverse_residual_guards_more_than_the_solve(self):
+        # a pair at correlation 1 - 1e-10, both at 0.3 to a third asset: the
+        # solve against ones passes every check, the full inverse misses the
+        # identity, so the matrix residual is a contract of its own
+        r = 1.0 - 1e-10
+        c = np.array([[1.0, r, 0.3], [r, 1.0, 0.3], [0.3, 0.3, 1.0]])
+        out = solve_ones_stack(c[None])
+        assert out.usable[0] and out.residual[0] == 0.0 and out.rcond[0] < 1e-10
+        assert effsize_report(c).m_exact == pytest.approx(20 / 13, rel=1e-9)
+        with pytest.raises(NearSingularError, match=r"^inverse residual 1\.\d+e-06 exceeds 1e-08"):
+            invert(CorrelationMatrix(c))
 
 
 def near_duplicate_pair(n, rcond):
@@ -289,7 +301,7 @@ class TestInverseStack:
         assert solve_ones_stack(corr[:6, :6][None]).usable[0]
         out = solve_ones_stack(corr[None])
         assert not out.usable[0] and out.rcond[0] < RCOND_FLOOR
-        assert np.isnan(m_ef_exact_stack(corr[None])[0])
+        assert np.isnan(m_ef_stack(corr[None])[0, 0])
         with pytest.raises(NearSingularError):
             symmetric_inverse(corr)
 

@@ -18,6 +18,7 @@ from effport.effsize import (
     m_ef_even,
     m_ef_exact,
     m_ef_sector,
+    m_ef_stack,
     m_ef_uniform,
     m_ef_variance_ratio,
     reduce_to_sectors,
@@ -191,6 +192,31 @@ class TestSectorReduction:
         part = SectorPartition(["a", "a", "b", "b"])
         with pytest.raises(NearSingularError):
             m_ef_sector(a, part)
+
+
+class TestStack:
+    def test_rows_match_one_matrix_estimates(self, random_correlation):
+        rng = np.random.default_rng(31)
+        stack = np.array([random_correlation(rng, 5) for _ in range(4)])
+        # indices into one sorted label list; a matrix may miss some labels
+        codes = np.array([[0, 0, 1, 1, 2], [2, 2, 2, 0, 0], [1, 1, 1, 1, 1], [0, 1, 2, 0, 1]])
+        got = m_ef_stack(stack, codes)
+        for c, row, column in zip(stack, codes, got.T):
+            part = SectorPartition(["abc"[i] for i in row])
+            expected = [effsize_report(c).m_exact, m_ef_even(c), m_ef_sector(c, part)]
+            assert column == pytest.approx(expected, rel=1e-12)
+        without = m_ef_stack(stack)
+        assert np.array_equal(without[:2], got[:2]) and np.isnan(without[2]).all()
+
+    def test_undefined_values_are_nan(self):
+        # uniform -0.4 over 4 assets is indefinite, has a negative even
+        # denominator and a negative one-sector reduction; the identity next
+        # to it keeps its values
+        a = np.full((4, 4), -0.4)
+        np.fill_diagonal(a, 1.0)
+        got = m_ef_stack(np.array([a, np.eye(4)]), np.zeros((2, 4), dtype=int))
+        assert np.isnan(got[:, 0]).all()
+        assert got[:, 1].tolist() == [4.0, 4.0, m_ef_sector(np.eye(4), SectorPartition("aaaa"))]
 
 
 class TestVarianceRatio:

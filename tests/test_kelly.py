@@ -20,7 +20,6 @@ from effport.kelly import (
     kelly_first_order,
     kelly_fraction_binary,
     m_ef_kelly_numeric,
-    m_ef_kelly_numeric_grid,
     m_ef_kelly_numeric_grids,
     maximize_growth_symmetric,
     misestimation_experiment,
@@ -248,15 +247,15 @@ class TestEffectiveSizeNumericGrid:
             )
             for c in self.GRID
         ]
-        got = m_ef_kelly_numeric_grid(m, p, self.GRID)
+        got = m_ef_kelly_numeric_grids(m, [p], self.GRID)[0]
         assert got == [m_ef_kelly_numeric(m, p, c) for c in self.GRID] == composed
 
     def test_empty_grid_still_checks_m_and_p(self):
-        assert m_ef_kelly_numeric_grid(3, 0.6, []) == []
+        assert m_ef_kelly_numeric_grids(3, [0.6], [])[0] == []
         with pytest.raises(DomainError, match="asset count"):
-            m_ef_kelly_numeric_grid(0, 0.6, [])
+            m_ef_kelly_numeric_grids(0, [0.6], [])
         with pytest.raises(DomainError, match=r"\(0, 1\)"):
-            m_ef_kelly_numeric_grid(3, 1.5, [])
+            m_ef_kelly_numeric_grids(3, [1.5], [])
 
     # parameters, then p <= 1/2, then the asset cap, each before any law
     @pytest.mark.parametrize("m,p,grid,error,message", [
@@ -271,7 +270,7 @@ class TestEffectiveSizeNumericGrid:
 
         monkeypatch.setattr(kelly, "win_count_law", law)
         with pytest.raises(error, match=message):
-            m_ef_kelly_numeric_grid(m, p, grid)
+            m_ef_kelly_numeric_grids(m, [p], grid)
 
     @pytest.mark.parametrize("m", [0, 5000])
     def test_empty_p_list_refused(self, m):
@@ -281,7 +280,7 @@ class TestEffectiveSizeNumericGrid:
     def test_p_list_form_is_one_grid_per_p(self):
         p_values = [0.55, 0.6, 0.7]
         got = m_ef_kelly_numeric_grids(10, p_values, self.GRID)
-        assert got == [m_ef_kelly_numeric_grid(10, p, self.GRID) for p in p_values]
+        assert got == [m_ef_kelly_numeric_grids(10, [p], self.GRID)[0] for p in p_values]
 
     # every (p, C) is checked, then every p against 1/2, then the cap: a
     # refused later p costs no solve of the earlier ones

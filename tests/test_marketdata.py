@@ -120,6 +120,11 @@ class TestLoadPrices:
         with pytest.raises(ParseError):
             load_from_text("date,AAA,AAA\n2020-01-02,1,2\n")
 
+    def test_panel_refuses_a_name_that_is_no_string(self):
+        # test_written_panel_reads_back draws blank, repeated and padded names
+        with pytest.raises(DataError, match="^asset name 1 is blank, padded with spaces or no"):
+            PricePanel(("2020-01-02",), (1, "B"), np.ones((1, 2)))
+
     @pytest.mark.parametrize("text, field", [
         ("date,,B\n2020-01-02,1,2\n", 2),
         ("date,A, \n2020-01-02,1,2\n", 3),
