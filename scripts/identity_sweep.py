@@ -20,7 +20,9 @@ The sweep covers:
 
 - all eight steps of the three benchmark workloads at seeds 1-3, full size,
   with the files they write;
-- fig1 at M = 1..20, 25 and 40, with four fig2 settings at each M;
+- fig1 at M = 1..20, 25 and 40, with four fig2 settings at each M, and
+  fig1 at M = 100 and at the asset cap M = 2000, where the uncorrelated curve
+  stops solving at saturation, with fig2 at M = 2000;
 - subset-curve on ``data/`` with and without sectors, over sizes 2..40 at
   600, 650 and 700 draws and at the 5000-draw default;
 - sliding on ``data/`` at window/step 252/1, 60/7, 31/3, 31/40 (a step
@@ -134,6 +136,10 @@ def growth_commands(cli) -> None:
         run_cli(cli, f"fig1/m{m}", ["fig1", "--m", str(m)])
         for p, c in fig2_settings:
             run_cli(cli, f"fig2/m{m}-p{p}-c{c}", ["fig2", "--m", str(m), "--p", p, "--c-true", c])
+    for m in (100, 2000):
+        run_cli(cli, f"fig1/m{m}", ["fig1", "--m", str(m)])
+    run_cli(cli, "fig2/m2000-p0.55-c0.2",
+            ["fig2", "--m", "2000", "--p", "0.55", "--c-true", "0.2"])
 
 
 def data_commands(cli) -> None:

@@ -1,22 +1,25 @@
 """The process entry of ``python -m effport`` and of the installed ``effport`` script:
-``cli.main`` run with the objects of the imports frozen out of the cyclic collector."""
+``cli.main``'s two steps, ``cli.parse`` and ``cli.run``, with the objects of the
+imports frozen out of the cyclic collector between them."""
 
 import gc
 import sys
 
 
 def main() -> None:
-    # numpy and effport leave about 21 000 collector-tracked objects that live
-    # until exit. Collections during the imports free only a few hundred
-    # objects, and once frozen these 21 000 are traversed by no later
-    # collection, those at shutdown included. cli.main leaves the collector
-    # alone, as it also runs in-process.
+    # The modules a command runs (numpy's alone about 21 000 collector-tracked
+    # objects) live until exit. Collections during the imports free only a
+    # few hundred objects, and once frozen these are traversed by no later
+    # collection, those at shutdown included. cli.parse imports them with the
+    # collector paused, and cli.main, as it also runs in-process, leaves the
+    # collector as it found it and freezes nothing.
     gc.disable()
     from effport import cli
 
+    args = cli.parse()
     gc.freeze()
     gc.enable()
-    code = cli.main()
+    code = cli.run(args)
     gc.freeze()
     sys.exit(code)
 

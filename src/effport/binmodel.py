@@ -11,17 +11,19 @@ correlation C, for C in [0, 1].
 
 The model is exchangeable, so anything that treats the assets alike depends
 only on the number k of winning assets. :func:`win_count_law` gives the exact
-(M+1)-point law of k in closed form; the symmetric growth solvers (fig1,
-fig2) run on it, up to the asset cap in :mod:`effport.kelly`.
+(M+1)-point law of k in closed form, as tuples of Python floats; the
+symmetric growth solvers (fig1, fig2) run on it, up to the asset cap in
+:mod:`effport.kelly`, and so need no numpy.
 :func:`m_ef_uniform` is the closed-form effective size of M assets at
 uniform correlation C, which fig1 compares with the growth solvers.
 :func:`build_joint` enumerates the full 2^M outcome table, needed only for
 general (unequal) fractions and limited to 20 assets; beyond that, use
 :func:`sample`.
 
-Sampling uses numpy's PCG64 generator seeded explicitly, so identical seeds
-reproduce identical draws on one platform; cross-platform reproduction is
-guaranteed only at the level of the sampled statistics.
+Only the outcome table and sampling import numpy. Sampling uses numpy's
+PCG64 generator seeded explicitly, so identical seeds reproduce identical
+draws on one platform; cross-platform reproduction is guaranteed only at the
+level of the sampled statistics.
 """
 
 from __future__ import annotations
@@ -29,16 +31,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, EnumerationLimitError
+
+if TYPE_CHECKING:  # the law (fig1, fig2) needs no numpy
+    import numpy as np
 
 #: Largest asset count for exact enumeration of all 2^M outcomes.
 ENUMERATION_LIMIT = 20
 
 #: log(k!) for k = 0, 1, ...; grown on demand by :func:`_log_factorials`.
-_LOG_FACTORIALS = np.zeros(1)
+_LOG_FACTORIALS = (0.0,)
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,8 @@ class BinaryModelParams:
     c: float
 
     def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, int):
+            raise DomainError(f"asset count must be an int, got {self.m!r}")
         if self.m < 1:
             raise DomainError(f"asset count must be >= 1, got {self.m}")
         if not 0.0 < self.p < 1.0:
@@ -100,6 +106,8 @@ class JointBinaryDistribution:
 
     @cached_property
     def probabilities(self) -> np.ndarray:
+        import numpy as np
+
         out = np.exp(self.log_probabilities)
         out.flags.writeable = False
         return out
@@ -110,54 +118,62 @@ class WinCountLaw:
     """Exact law of the number k of winning assets, k = 0..M.
 
     ``sums[k] = 2k - M`` is the summed return of all assets when k of them
-    win, and ``probs[k]`` its probability. An equal-fraction portfolio depends
-    on the model only through these M + 1 points.
+    win, and ``probs[k]`` its probability, each a tuple of M + 1 Python
+    floats (any sequence given is converted). An equal-fraction portfolio
+    depends on the model only through these M + 1 points.
     """
 
     m: int
-    sums: np.ndarray
-    probs: np.ndarray
+    sums: tuple[float, ...]
+    probs: tuple[float, ...]
 
     def __post_init__(self):
-        if self.sums.shape != (self.m + 1,) or self.probs.shape != (self.m + 1,):
+        for name in ("sums", "probs"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        if len(self.sums) != self.m + 1 or len(self.probs) != self.m + 1:
             raise DomainError("win-count law needs M + 1 sums and probabilities")
 
 
-def _log_factorials(n: int) -> np.ndarray:
+def _log_factorials(n: int) -> tuple[float, ...]:
     """log(k!) for k = 0..n, each from math.lgamma.
 
     The table is a pure cache (entry k never changes); it at least doubles
     whenever it grows, so a sweep over M = 1..n builds it O(log n) times.
     """
     global _LOG_FACTORIALS
-    if _LOG_FACTORIALS.size <= n:
-        size = max(n + 1, 2 * _LOG_FACTORIALS.size)
-        _LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(size)])
-        _LOG_FACTORIALS.flags.writeable = False
+    if len(_LOG_FACTORIALS) <= n:
+        size = max(n + 1, 2 * len(_LOG_FACTORIALS))
+        _LOG_FACTORIALS = tuple([math.lgamma(k + 1.0) for k in range(size)])
     return _LOG_FACTORIALS[: n + 1]
 
 
-def _xlogy(x: np.ndarray, y: float) -> np.ndarray:
-    """x * log(y), with 0 where x == 0 (so 0 * log 0 = 0)."""
-    log_y = math.log(y) if y > 0.0 else -math.inf
-    with np.errstate(invalid="ignore"):
-        return np.where(x == 0, 0.0, x * log_y)
+def _logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)), computed as numpy's ``logaddexp`` computes it."""
+    if x == y:  # also two infinities of one sign
+        return x + math.log(2.0)
+    if x > y:
+        return x + math.log1p(math.exp(y - x))
+    return y + math.log1p(math.exp(x - y))
 
 
-def _log_mixture(wins: np.ndarray, params: BinaryModelParams) -> np.ndarray:
-    """Log probability of one outcome vector with the given number of wins.
+def _log_mixture(params: BinaryModelParams) -> list[float]:
+    """Log probability of one outcome vector with k wins, for k = 0..M.
 
-    P(R) = p * prod_i P(R_i | hidden +1) + (1-p) * prod_i P(R_i | hidden -1);
-    :func:`_xlogy` keeps 0 * log 0 = 0 where a conditional is 0 or 1 (C = 1).
+    P(R) = p * prod_i P(R_i | hidden +1) + (1-p) * prod_i P(R_i | hidden -1).
     """
     m = params.m
-    a_win, a_lose = params.cond_win, params.cond_lose
-    log_given_up = _xlogy(wins, a_win) + _xlogy(m - wins, 1.0 - a_win)
-    log_given_down = _xlogy(wins, 1.0 - a_lose) + _xlogy(m - wins, a_lose)
-    return np.logaddexp(
-        math.log(params.p) + log_given_up,
-        math.log1p(-params.p) + log_given_down,
-    )
+    log_p, log_q = math.log(params.p), math.log1p(-params.p)
+    up = _log_products(m, params.cond_win, 1.0 - params.cond_win)
+    down = _log_products(m, 1.0 - params.cond_lose, params.cond_lose)
+    return [_logaddexp(log_p + u, log_q + d) for u, d in zip(up, down)]
+
+
+def _log_products(m: int, y_win: float, y_lose: float) -> list[float]:
+    """k log(y_win) + (M - k) log(y_lose) for k = 0..M, where a count of 0
+    contributes 0, so 0 * log 0 = 0 where a conditional is 0 (C = 1)."""
+    log_win, log_lose = (math.log(y) if y > 0.0 else -math.inf for y in (y_win, y_lose))
+    return [(k * log_win if k else 0.0) + ((m - k) * log_lose if k < m else 0.0)
+            for k in range(m + 1)]
 
 
 def build_joint(params: BinaryModelParams) -> JointBinaryDistribution:
@@ -167,11 +183,13 @@ def build_joint(params: BinaryModelParams) -> JointBinaryDistribution:
             f"exact enumeration supports at most {ENUMERATION_LIMIT} assets, "
             f"got {params.m}; draw samples instead"
         )
+    import numpy as np
+
     m = params.m
     codes = np.arange(2**m, dtype=np.int64)
     bits = (codes[:, None] >> np.arange(m - 1, -1, -1)) & 1
     outcomes = (2 * bits - 1).astype(np.int8)
-    logp = _log_mixture(bits.sum(axis=1), params)
+    logp = np.array(_log_mixture(params))[bits.sum(axis=1)]
     outcomes.flags.writeable = False
     logp.flags.writeable = False
     return JointBinaryDistribution(m=m, outcomes=outcomes, log_probabilities=logp)
@@ -186,14 +204,12 @@ def win_count_law(params: BinaryModelParams) -> WinCountLaw:
     2^M tables.
     """
     m = params.m
-    k = np.arange(m + 1, dtype=float)
     log_fact = _log_factorials(m)
-    log_binom = log_fact[m] - log_fact - log_fact[::-1]
-    probs = np.exp(log_binom + _log_mixture(k, params))
-    sums = 2.0 * k - m
-    probs.flags.writeable = False
-    sums.flags.writeable = False
-    return WinCountLaw(m=m, sums=sums, probs=probs)
+    probs = [
+        math.exp(log_fact[m] - log_fact[k] - log_fact[m - k] + log_mix)
+        for k, log_mix in enumerate(_log_mixture(params))
+    ]
+    return WinCountLaw(m=m, sums=[2.0 * k - m for k in range(m + 1)], probs=probs)
 
 
 def _check_uniform(m: int, c: float) -> None:
@@ -219,6 +235,8 @@ def sample(params: BinaryModelParams, n: int, seed: int) -> np.ndarray:
     Each row first draws the hidden outcome, then every asset independently
     from its conditional. Identical seeds give identical output.
     """
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)

@@ -12,14 +12,20 @@ at once.
 The numeric effective size matches total invested wealth between the
 correlated portfolio and a fictitious uncorrelated one, interpolating the
 uncorrelated total linearly between integer asset counts.
+
+The numeric path runs on tuples of Python floats and sums every dot product
+with ``math.fsum``, which rounds it correctly, so it imports no numpy; only
+the general-fraction and first-order paths, which take arrays, do.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from .binmodel import BinaryModelParams, JointBinaryDistribution, WinCountLaw, win_count_law
 from .errors import (
@@ -37,9 +43,10 @@ if TYPE_CHECKING:  # the growth solvers (fig1, fig2) need neither module
 #: Safety margin keeping 1 + f * sum(R) positive at the all-losses outcome.
 FEASIBILITY_EPS = 1e-9
 
-#: Largest asset count the symmetric solvers accept. The uncorrelated
-#: reference curve costs O(M^2): 0.16-0.32 s at this size on a 2-core host
-#: (Python 3.11, numpy 2.4).
+#: Largest asset count the symmetric solvers accept. At this size every law
+#: has 2001 points: ``fig1 --m 2000`` (three p, 21 correlations) takes about
+#: 0.3 s in-process, and ``fig2 --m 2000`` 0.07 s, on a 2-core host (Python
+#: 3.11.7).
 MAX_SYMMETRIC_ASSETS = 2000
 
 
@@ -75,20 +82,22 @@ def growth_rate(weights, dist: JointBinaryDistribution) -> float:
     Raises BankruptcyError when any positive-probability outcome drives
     1 + sum_i f_i R_i to zero or below.
     """
+    import numpy as np
+
     f = np.asarray(getattr(weights, "fractions", weights), dtype=float)
     if f.shape != (dist.m,):
         raise InputShapeError(f"expected {dist.m} fractions, got shape {f.shape}")
-    return _expected_log_wealth(dist.probabilities, dist.outcomes @ f)
+    return _expected_log_wealth(dist.probabilities.tolist(), (dist.outcomes @ f).tolist())
 
 
-def _expected_log_wealth(probs: np.ndarray, gains: np.ndarray) -> float:
+def _expected_log_wealth(probs: Sequence[float], gains: Sequence[float]) -> float:
     """E[log(1 + gain)] over the outcomes of positive probability."""
-    live = probs > 0.0
-    if np.any(gains[live] <= -1.0):
+    live = [(q, g) for q, g in zip(probs, gains) if q > 0.0]
+    if any(g <= -1.0 for _, g in live):
         raise BankruptcyError(
             "fractions admit total loss: some outcome drives wealth to zero or below"
         )
-    return float(probs[live] @ np.log1p(gains[live]))
+    return math.fsum([q * math.log1p(g) for q, g in live])
 
 
 def _check_asset_count(m: int) -> None:
@@ -107,6 +116,8 @@ def kelly_first_order(
     S is the entry sum of the inverse. Nonpositive mean returns give all-zero
     weights (abstention); negative components are clipped to zero and flagged.
     """
+    import numpy as np
+
     from .meanvar import PortfolioWeights
 
     if sigma <= 0.0:
@@ -137,22 +148,25 @@ def maximize_growth_symmetric(law: WinCountLaw) -> GrowthResult:
     max(1, f), or when no float lies strictly inside the bracket, which every
     other step shrinks: it always ends.
 
-    It abstains where the edge E[sum R] is at most (M + 1) eps E|sum R|, the
-    rounding bound of its dot product: at p = 1/2 the rounded edge reached
-    0.4 of that over M = 1..300 and up to 2000, C = 0..1.
+    Every expectation is a ``math.fsum`` of the law's products. It abstains
+    where the edge E[sum R] is at most (M + 1) eps E|sum R|, the rounding
+    bound of a plain dot product, which also covers the rounding of the
+    law's probabilities: at p = 1/2 the edge reached 0.4 of that over
+    M = 1..300 and up to 2000, C = 0..1.
     """
-    sums, probs = law.sums, law.probs
-    if float(probs @ sums) <= (law.m + 1) * np.finfo(float).eps * float(probs @ np.abs(sums)):
+    probs, sums = _largest_first(law)
+    edge = math.fsum(map(mul, probs, sums))
+    spread = math.fsum(map(mul, probs, map(abs, sums)))
+    if edge <= (law.m + 1) * sys.float_info.epsilon * spread:
         return GrowthResult(f_star=0.0, g_star=0.0, total_fraction=0.0)
     upper = (1.0 - FEASIBILITY_EPS) / law.m
     lo, hi = 0.0, upper
     # the loop is skipped when G still rises at the bound
-    f = upper if float(probs @ (sums / (1.0 + upper * sums))) >= 0.0 else 0.0
+    f = upper if _derivatives(probs, sums, upper)[0] >= 0.0 else 0.0
     while f < upper:
-        ratio = sums / (1.0 + f * sums)
-        slope = float(probs @ ratio)
+        slope, curvature = _derivatives(probs, sums, f)
         lo, hi = (f, hi) if slope > 0.0 else (lo, f)
-        nxt = min(max(f + slope / float(probs @ (ratio * ratio)), lo), hi)
+        nxt = min(max(f + slope / curvature, lo), hi)
         if abs(nxt - f) <= 1e-16 * max(1.0, f):
             f = nxt
             break
@@ -161,26 +175,55 @@ def maximize_growth_symmetric(law: WinCountLaw) -> GrowthResult:
             if not lo < nxt < hi:
                 break
         f = nxt
-    g_star = float(probs @ np.log1p(f * sums))
+    g_star = _expected_log_wealth(probs, [f * s for s in sums])
     if g_star <= 0.0:
         # abstention is always feasible and gives exactly zero growth
         return GrowthResult(f_star=0.0, g_star=0.0, total_fraction=0.0)
     return GrowthResult(f_star=f, g_star=g_star, total_fraction=law.m * f)
 
 
-def uncorrelated_total_curve(m: int, p: float) -> np.ndarray:
-    """Total invested fraction k * f*(k) for k = 1..m uncorrelated assets."""
+def _largest_first(law: WinCountLaw) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The law's probabilities and sums, in order of decreasing probability.
+
+    fsum keeps far fewer partial sums when the largest terms come first (20
+    against up to 300 in the order of k at M = 2000), and its sums, being
+    correctly rounded, do not depend on the order.
+    """
+    return tuple(zip(*sorted(zip(law.probs, law.sums), reverse=True)))
+
+
+def _derivatives(probs: Sequence[float], sums: Sequence[float], f: float) -> tuple[float, float]:
+    """dG/df and -d2G/df2 at the common fraction ``f``."""
+    ratios = [s / (1.0 + f * s) for s in sums]
+    return math.fsum(map(mul, probs, ratios)), math.fsum(map(mul, probs, map(mul, ratios, ratios)))
+
+
+def uncorrelated_total_curve(m: int, p: float) -> tuple[float, ...]:
+    """Total invested fraction k * f*(k) for k = 1..m uncorrelated assets.
+
+    Once the optimum of some k sits at the bound (1 - eps) / k, so does that
+    of every larger k (checked bit for bit against a solve at every k up to
+    250, for p from 0.505 to 0.99). So the curve stops solving there and
+    gives each later k the total k * ((1 - eps) / k) that its solve returns.
+    """
     _check_asset_count(m)
-    return np.array(
-        [
-            maximize_growth_symmetric(win_count_law(BinaryModelParams(k, p, 0.0))).total_fraction
-            for k in range(1, m + 1)
-        ]
-    )
+    totals = []
+    for k in range(1, m + 1):
+        upper = (1.0 - FEASIBILITY_EPS) / k
+        res = maximize_growth_symmetric(win_count_law(BinaryModelParams(k, p, 0.0)))
+        totals.append(res.total_fraction)
+        if res.f_star == upper:
+            totals += [j * ((1.0 - FEASIBILITY_EPS) / j) for j in range(k + 1, m + 1)]
+            break
+    return tuple(totals)
 
 
-def invert_total_curve(totals: np.ndarray, target: float) -> float:
-    """Solve totals(m_ef) = target by piecewise-linear interpolation on 1..M."""
+def invert_total_curve(totals: Sequence[float], target: float) -> float:
+    """Solve totals(m_ef) = target by piecewise-linear interpolation on 1..M.
+
+    The segment and the interpolation are those of ``numpy.interp`` on an
+    increasing curve.
+    """
     lo, hi = float(totals[0]), float(totals[-1])
     slack = 1e-9
     if target < lo - slack:
@@ -190,11 +233,14 @@ def invert_total_curve(totals: np.ndarray, target: float) -> float:
         )
     if target > hi + slack:
         raise ExtrapolationError(
-            f"target total fraction {target:.6g} above the {totals.size}-asset value {hi:.6g}",
+            f"target total fraction {target:.6g} above the {len(totals)}-asset value {hi:.6g}",
             nearest_bound=hi,
         )
-    grid = np.arange(1, totals.size + 1, dtype=float)
-    return float(np.interp(min(max(target, lo), hi), totals, grid))
+    x = min(max(target, lo), hi)
+    j = bisect_right(totals, x) - 1  # totals[j] <= x < totals[j + 1]
+    if j >= len(totals) - 1 or totals[j] == x:
+        return float(j + 1)
+    return 1.0 / (totals[j + 1] - totals[j]) * (x - totals[j]) + (j + 1)
 
 
 def m_ef_kelly_numeric_grids(
@@ -243,11 +289,11 @@ def misestimation_experiment(
     _check_asset_count(m)
     true_params = BinaryModelParams(m, p, c_true)
     params = [BinaryModelParams(m, p, c) for c in c_assumed_grid]
-    true_law = win_count_law(true_params)
+    probs, sums = _largest_first(win_count_law(true_params))
     results: list[MisestimationResult] = []
     for q in params:
         assumed = maximize_growth_symmetric(win_count_law(q))
-        realized = _expected_log_wealth(true_law.probs, assumed.f_star * true_law.sums)
+        realized = _expected_log_wealth(probs, [assumed.f_star * s for s in sums])
         results.append(
             MisestimationResult(
                 c_true=float(c_true),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ class TestParams:
     def test_probability_domain(self, p):
         with pytest.raises(DomainError):
             BinaryModelParams(2, p, 0.3)
+
+    # a float or bool count would otherwise fail later, inside range() or numpy
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, False, "3", None])
+    def test_asset_count_must_be_an_int(self, m):
+        with pytest.raises(DomainError, match=f"must be an int, got {re.escape(repr(m))}$"):
+            BinaryModelParams(m, 0.6, 0.1)
 
     @pytest.mark.parametrize("c", [-0.01, 1.2])
     def test_correlation_domain(self, c):

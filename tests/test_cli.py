@@ -758,6 +758,12 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy():
+    # numpy is imported by the commands that use arrays, once they are parsed
+    out = fresh_python("import effport.cli; print('numpy' in sys.modules)")
+    assert out.strip() == "False"
+
+
 def entry(*argv: str) -> subprocess.CompletedProcess:
     """``python -m effport argv`` run by a fresh interpreter on this checkout."""
     return subprocess.run([sys.executable, "-m", "effport", *argv], capture_output=True,
@@ -796,19 +802,44 @@ def test_entry_writes_the_same_file(tmp_path, small_panel_path, capsys):
     assert (tmp_path / "entry.tsv").read_bytes() == (tmp_path / "in.tsv").read_bytes()
 
 
+# the commands are not run: cli.run only reports the process's state
+ENTRY_STATE = (
+    "import gc, runpy; from effport import cli\n"
+    "def run(args):\n"
+    "    live = {id(o) for o in gc.get_objects()}\n"
+    "    modules = [m for n, m in sys.modules.items()\n"
+    "               if n.startswith(('numpy', 'effport.')) and m is not None]\n"
+    "    print(gc.isenabled(), gc.get_freeze_count() > 0, 'numpy' in sys.modules,\n"
+    "          not any(id(vars(m)) in live for m in modules))\n"
+    "    return 0\n"
+    "cli.run = run\n"
+    "runpy.run_module('effport', run_name='__main__')"
+)
+
+
 def test_entry_runs_the_command_with_the_collector_on_and_imports_frozen():
-    out = fresh_python(
-        "import gc, runpy; from effport import cli; "
-        "cli.main = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0) or 0; "
-        "runpy.run_module('effport', run_name='__main__')"
-    )
-    assert out.split() == ["True", "True"]
+    # every module a command runs is imported, and frozen, before it runs;
+    # only the price commands import numpy
+    for argv, numpy in [(["fig1", "--m", "3"], False), (["fig2"], False),
+                        (["effsize", "--corr", "x.tsv"], True),
+                        (["sliding", "--prices", "x.csv"], True)]:
+        out = fresh_python(ENTRY_STATE, *argv)
+        assert out.split() == ["True", "True", str(numpy), "True"], argv
 
 
 def test_in_process_main_leaves_the_collector_alone(capsys):
-    frozen = gc.get_freeze_count()
-    assert run(["fig1", "--m", "3", "--c-grid", "0"], capsys)[0] == 0
-    assert gc.isenabled() and gc.get_freeze_count() == frozen
+    prices = str(SRC.parent / "data" / "synthetic_prices.csv")
+    for argv in (["fig1", "--m", "3", "--c-grid", "0"],
+                 ["sliding", "--prices", prices, "--step", "100"]):
+        for enabled in (True, False):
+            frozen = gc.get_freeze_count()
+            if not enabled:
+                gc.disable()
+            try:
+                assert run(argv, capsys)[0] == 0
+                assert gc.isenabled() == enabled and gc.get_freeze_count() == frozen
+            finally:
+                gc.enable()
 
 
 def test_installed_script_is_the_entry():
@@ -860,11 +891,14 @@ def test_workload_command_imports(name, workload_inputs, capsys):
     out = fresh_python(
         "from effport import cli; code = cli.main(sys.argv[1:]); "
         "ours = sorted(m[8:] for m in sys.modules if m.startswith('effport.')); "
-        "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules, ','.join(ours))",
+        "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules, "
+        "'numpy.random' in sys.modules, ','.join(ours))",
         *argv,
     )
-    modules = GROWTH_MODULES if name.startswith("fig") else PRICE_MODULES
-    assert out.split()[-4:] == ["0", "False", str(name == "subset-curve"), modules]
+    growth = name.startswith("fig")
+    modules = GROWTH_MODULES if growth else PRICE_MODULES
+    assert out.split()[-5:] == ["0", str(not growth), "False", str(name == "subset-curve"),
+                                modules]
 
 
 def test_package_import_loads_no_submodule():

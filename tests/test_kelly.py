@@ -14,6 +14,7 @@ from effport.errors import (
     InputShapeError,
 )
 from effport.kelly import (
+    FEASIBILITY_EPS,
     MAX_SYMMETRIC_ASSETS,
     growth_rate,
     invert_total_curve,
@@ -164,8 +165,7 @@ class TestSymmetricMaximization:
     def test_first_order_optimality_at_interior_optimum(self):
         law = win_count_law(BinaryModelParams(10, 0.7, 0.3))
         res = maximize_growth_symmetric(law)
-        sums, probs = law.sums, law.probs
-        slope = float(probs @ (sums / (1.0 + res.f_star * sums)))
+        slope = math.fsum(q * (s / (1.0 + res.f_star * s)) for q, s in zip(law.probs, law.sums))
         assert abs(slope) <= 1e-9
 
     def test_growth_never_negative_at_optimum(self):
@@ -197,6 +197,13 @@ class TestEffectiveSizeNumeric:
         got = m_ef_kelly_numeric(10, 0.55, 0.3)
         assert abs(got - 10 / (1 + 9 * 0.3)) <= 0.15
 
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_non_integer_asset_count_refused(self, m):
+        with pytest.raises(DomainError, match="must be an int"):
+            m_ef_kelly_numeric(m, 0.6, 0.1)
+        with pytest.raises(DomainError, match="must be an int"):
+            misestimation_experiment(m, 0.6, 0.1, [0.2])
+
     def test_requires_winning_edge(self):
         with pytest.raises(DomainError):
             m_ef_kelly_numeric(10, 0.5, 0.3)
@@ -220,8 +227,36 @@ class TestEffectiveSizeNumeric:
 
     def test_total_curve_is_increasing(self):
         totals = uncorrelated_total_curve(10, 0.55)
-        assert np.all(np.diff(totals) > 0)
+        assert type(totals) is tuple and all(type(t) is float for t in totals)
+        assert all(a < b for a, b in zip(totals, totals[1:]))
         assert totals[0] == pytest.approx(0.1, abs=1e-10)
+
+    # k_sat, the first count whose optimum sits at the bound (1 - eps) / k; the
+    # curve stops solving there, so it is checked against a solve at every k,
+    # saturated from k_sat on
+    @pytest.mark.parametrize("p,k_sat", [
+        (0.505, 102), (0.51, 52), (0.55, 30), (0.6, 25), (0.7, 19), (0.9, 10), (0.99, 5),
+    ])
+    def test_total_curve_stops_at_saturation_bitwise(self, p, k_sat):
+        m = 250
+        solves = [
+            maximize_growth_symmetric(win_count_law(BinaryModelParams(k, p, 0.0)))
+            for k in range(1, m + 1)
+        ]
+        at_bound = [res.f_star == (1.0 - FEASIBILITY_EPS) / k for k, res in enumerate(solves, 1)]
+        assert at_bound == [k >= k_sat for k in range(1, m + 1)]
+        assert uncorrelated_total_curve(m, p) == tuple(res.total_fraction for res in solves)
+
+    # below saturation the curve increases, and the inversion takes numpy.interp's
+    # segment and arithmetic
+    @pytest.mark.parametrize("m,p", [(10, 0.55), (30, 0.55), (25, 0.6), (19, 0.7)])
+    def test_inversion_is_numpy_interp_on_an_increasing_curve(self, m, p):
+        totals = uncorrelated_total_curve(m, p)
+        assert all(a < b for a, b in zip(totals, totals[1:]))
+        grid = np.arange(1.0, m + 1.0)
+        targets = [*totals, *np.random.default_rng(m).uniform(totals[0], totals[-1], 300)]
+        for target in targets:
+            assert invert_total_curve(totals, target) == float(np.interp(target, totals, grid))
 
     def test_extrapolation_error_reports_nearest_bound(self):
         totals = uncorrelated_total_curve(5, 0.55)

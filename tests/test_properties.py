@@ -11,6 +11,8 @@ solve against ones.
 
 import datetime
 import io
+import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -57,8 +59,10 @@ def table_law(params):
 def test_law_matches_table(m, p, c):
     params = BinaryModelParams(m, p, c)
     law, table = win_count_law(params), table_law(params)
-    assert np.array_equal(law.sums, table.sums)
-    assert np.max(np.abs(law.probs - table.probs)) <= 1e-12
+    assert type(law.sums) is type(law.probs) is tuple
+    assert all(type(x) is float for x in (*law.sums, *law.probs))
+    assert law.sums == table.sums
+    assert max(abs(a - b) for a, b in zip(law.probs, table.probs)) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -66,10 +70,10 @@ def test_law_matches_table(m, p, c):
 @example(m=MAX_SYMMETRIC_ASSETS, p=0.5, c=0.0)
 def test_law_is_normalized(m, p, c):
     probs = win_count_law(BinaryModelParams(m, p, c)).probs
-    assert np.all(probs >= 0.0)
+    assert min(probs) >= 0.0
     # log C(M,k) = log M! - log k! - log (M-k)! (each from math.lgamma) loses
     # about M * eps * log(M) to cancellation at the largest M
-    assert abs(float(probs.sum()) - 1.0) <= 1e-11
+    assert abs(math.fsum(probs) - 1.0) <= 1e-11
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,8 +87,13 @@ def test_solver_same_on_law_and_table(m, p, c):
     assert abs(on_law.f_star - on_table.f_star) <= 1e-12
 
 
+def expectation(law, values):
+    """E[values(sum R)], correctly rounded from the law's products."""
+    return math.fsum(q * v for q, v in zip(law.probs, map(values, law.sums)))
+
+
 def growth_slope(law, f):
-    return float(law.probs @ (law.sums / (1.0 + f * law.sums)))
+    return expectation(law, lambda s: s / (1.0 + f * s))
 
 
 @settings(max_examples=10, deadline=None)
@@ -105,7 +114,7 @@ def test_first_order_optimality_at_500_assets(p, c):
     elif res.f_star < (1.0 - FEASIBILITY_EPS) / m:
         # dG/df changes sign between f* and an adjacent float; where it is too
         # flat for rounding to show a sign change there, it is below 1e-9
-        near = [growth_slope(law, np.nextafter(res.f_star, x)) for x in (0.0, 1.0)]
+        near = [growth_slope(law, math.nextafter(res.f_star, x)) for x in (0.0, 1.0)]
         assert min(*near, slope) <= 0.0 <= max(*near, slope) or abs(slope) <= 1e-9
     else:
         # weak correlation: the optimum sits on the feasibility bound
@@ -135,8 +144,9 @@ def test_growth_solve_at_bound_or_bisection_root(m, p, c):
     upper = (1.0 - FEASIBILITY_EPS) / m
     f = maximize_growth_symmetric(law).f_star
     assert 0.0 <= f <= upper
-    # an edge within the rounding bound of its dot product is no edge
-    if law.probs @ law.sums <= (m + 1) * np.finfo(float).eps * (law.probs @ np.abs(law.sums)):
+    # an edge within the rounding bound of a dot product is no edge
+    eps = sys.float_info.epsilon
+    if expectation(law, lambda s: s) <= (m + 1) * eps * expectation(law, abs):
         assert f == 0.0
         return
     if f == upper and growth_slope(law, upper) >= 0.0:
@@ -145,8 +155,11 @@ def test_growth_solve_at_bound_or_bisection_root(m, p, c):
     # the rounding error of dG/df over |d2G/df2| bounds how closely any float
     # search can place the root; it exceeds 1e-12 relative only for p within
     # about 1e-4 of 1/2, as in the third example
-    ratio = law.sums / (1.0 + root * law.sums)
-    noise = 16 * np.finfo(float).eps * (law.probs @ np.abs(ratio)) / (law.probs @ ratio**2)
+    def ratio(s):
+        return s / (1.0 + root * s)
+
+    noise = (16 * eps * expectation(law, lambda s: abs(ratio(s)))
+             / expectation(law, lambda s: ratio(s) ** 2))
     assert abs(f - root) <= 1e-12 * root + noise
 
 
