@@ -35,6 +35,9 @@ The sweep covers:
   1e4 times their spread;
 - a seeded 2521 x 100 panel and its index through estimate-corr, effsize,
   variance-ratio, subset-curve and sliding;
+- sliding at 252/1 on a seeded 401 x 250 panel, whose 251-return windows
+  are nearly of full rank, so that their m_ef are large and ill-conditioned
+  (about 0.4 s);
 - the refusals of one-asset, underflowing and overflowing panels, of
   1-date and 2-date panels, of a constant index, of a blank asset name and a
   byte-order mark in a price header, of a byte-order mark in a sector file,
@@ -182,6 +185,14 @@ def large_panel(cli, marketdata, np) -> None:
     run_cli(cli, "wide/sliding", ["sliding", "--prices", "wide.csv"])
     run_cli(cli, "wide/estimate-corr", ["estimate-corr", "wide.csv"])
     run_cli(cli, "wide/effsize", ["effsize", "--prices", "wide.csv"])
+
+
+def near_full_rank(cli, marketdata, np) -> None:
+    rng = np.random.default_rng(401)
+    returns = 0.01 * (0.5 * rng.standard_normal((400, 1)) + rng.standard_normal((400, 250)))
+    marketdata.write_prices_csv(marketdata.panel_from_returns(returns), "rank.csv")
+    record("rank/rank.csv", Path("rank.csv").read_bytes())
+    run_cli(cli, "rank/sliding-252-1", ["sliding", "--prices", "rank.csv"])
 
 
 def sliding_edge_cases(cli, marketdata, np) -> None:
@@ -370,6 +381,7 @@ def main(argv: list[str]) -> int:
         growth_commands(cli)
         data_commands(cli)
         large_panel(cli, marketdata, np)
+        near_full_rank(cli, marketdata, np)
         sliding_edge_cases(cli, marketdata, np)
         correlation_edge_cases(cli, marketdata, np)
         odd_names(cli, marketdata)

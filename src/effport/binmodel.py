@@ -54,10 +54,7 @@ class BinaryModelParams:
     c: float
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, int):
-            raise DomainError(f"asset count must be an int, got {self.m!r}")
-        if self.m < 1:
-            raise DomainError(f"asset count must be >= 1, got {self.m}")
+        _check_asset_count(self.m)
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"win probability must lie in (0, 1), got {self.p}")
         if not 0.0 <= self.c <= 1.0:
@@ -212,10 +209,17 @@ def win_count_law(params: BinaryModelParams) -> WinCountLaw:
     return WinCountLaw(m=m, sums=[2.0 * k - m for k in range(m + 1)], probs=probs)
 
 
-def _check_uniform(m: int, c: float) -> None:
-    """Refuse an asset count below 1 or a uniform correlation outside [0, 1]."""
+def _check_asset_count(m: int) -> None:
+    """Refuse an asset count that is not an int (a bool included) or is below 1."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise DomainError(f"asset count must be an int, got {m!r}")
     if m < 1:
         raise DomainError(f"asset count must be >= 1, got {m}")
+
+
+def _check_uniform(m: int, c: float) -> None:
+    """Refuse a bad asset count (:func:`_check_asset_count`) or a correlation outside [0, 1]."""
+    _check_asset_count(m)
     if not 0.0 <= c <= 1.0:
         raise DomainError(f"uniform correlation must lie in [0, 1], got {c}")
 

@@ -106,47 +106,49 @@ class InverseCorrelationMatrix:
 def correlation_values(returns: np.ndarray) -> np.ndarray:
     """Pairwise Pearson correlations of the columns of a (T, M) return matrix.
 
-    The one-window case of :func:`_to_correlations`, as used by every
+    The one-window case of :func:`_correlations`, as used by every
     price-panel command. A risk-free column gets 0 off the diagonal.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 1:
         raise InputShapeError(f"need a (T>=2, M>=1) return matrix, got shape {r.shape}")
-    cross, sums = np.empty((1, r.shape[1], r.shape[1])), np.empty((1, r.shape[1]))
-    _centred_sums(r, cross[0], sums[0])
-    return _to_correlations(cross, sums, r.shape[0], (r != r[0]).any(axis=0)[None])[0]
+    return _correlations([r], np.empty((1, r.shape[1], r.shape[1])))[0]
 
 
-def _centred_sums(window: np.ndarray, cross: np.ndarray, sums: np.ndarray) -> None:
-    """Cross-product and column sums of a window's returns about their column means."""
-    centred = window - window.mean(axis=0)
-    np.matmul(centred.T, centred, out=cross)
-    centred.sum(axis=0, out=sums)
+def _correlations(windows: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Correlations of k (rows, M) return windows of one length, in place of
+    the (k, M, M) buffer ``out``.
 
-
-def _to_correlations(cross: np.ndarray, sums: np.ndarray, rows: int, varying: np.ndarray):
-    """Correlations, in place of ``cross``, from the (k, M, M) cross-product
-    sums and (k, M) column sums of ``rows`` shifted returns, by the corrected
-    two-pass formula (Chan, Golub & LeVeque 1983). A column that is not
-    ``varying``, or has no positive variance, is risk-free: correlation 0.
-    The upper triangle mirrors the lower one, so each matrix is exactly
-    symmetric."""
+    Each window's cross-product and column sums are taken alone about its own
+    column means and turned into correlations by the corrected two-pass
+    formula (Chan, Golub & LeVeque 1983), so no result depends on k. A column
+    none of whose returns differs from the window's first, or with no positive
+    variance, is risk-free: correlation 0. The upper triangle mirrors the
+    lower one, so each matrix is exactly symmetric.
+    """
+    sums = np.empty(out.shape[:2])
+    varying = np.empty(out.shape[:2], dtype=bool)
+    for window, cross, total, varies in zip(windows, out, sums, varying):
+        centred = window - window.mean(axis=0)
+        np.matmul(centred.T, centred, out=cross)
+        centred.sum(axis=0, out=total)
+        (window != window[0]).any(axis=0, out=varies)
     # outer products by einsum: broadcasting (k, M, 1) against (k, 1, M) took
     # 2.5 times as long at k = 81, M = 40
-    scaled = sums / math.sqrt(rows)
+    scaled = sums / math.sqrt(len(windows[0]))
     outer = np.einsum("ki,kj->kij", scaled, scaled)
-    cross -= outer
-    centred_squares = cross.diagonal(axis1=1, axis2=2)
+    out -= outer
+    centred_squares = out.diagonal(axis1=1, axis2=2)
     live = varying & (centred_squares > 0.0)
     scale = 1.0 / np.sqrt(np.where(live, centred_squares, np.inf))
-    cross *= np.einsum("ki,kj->kij", scale, scale, out=outer)
+    out *= np.einsum("ki,kj->kij", scale, scale, out=outer)
     del outer
-    upper = np.triu_indices(cross.shape[1], 1)
-    cross[:, upper[0], upper[1]] = cross[:, upper[1], upper[0]]
-    np.clip(cross, -1.0, 1.0, out=cross)
-    diagonal = np.arange(cross.shape[1])
-    cross[:, diagonal, diagonal] = 1.0
-    return cross
+    upper = np.triu_indices(out.shape[1], 1)
+    out[:, upper[0], upper[1]] = out[:, upper[1], upper[0]]
+    np.clip(out, -1.0, 1.0, out=out)
+    diagonal = np.arange(out.shape[1])
+    out[:, diagonal, diagonal] = 1.0
+    return out
 
 
 class OnesSolution(NamedTuple):

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corrmat import _centred_sums, _to_correlations, correlation_values, solve_ones_stack
+from .corrmat import _correlations, correlation_values, solve_ones_stack
 from .effsize import SectorPartition, m_ef_stack
 from .errors import DataError, DomainError, InputShapeError, ParseError, write_table
 
@@ -37,19 +37,18 @@ TRADING_DAYS_PER_YEAR = 252
 
 #: Bytes of one (k, n, n) stack in the subset and sliding pipelines. Only one
 #: stack and its Cholesky factor are held at a time. No result depends on k:
-#: every matrix is solved on its own. A sliding stack holds whole runs of its
-#: rolling sums, at least one; a run of _RESTART_WINDOWS windows exceeds this
-#: size from M = 91.
+#: every matrix is solved on its own. A stack holds at least 16 matrices, so
+#: that each Python row step of the Cholesky core serves 16; from n = 91 that
+#: floor exceeds this size and grows with n^2.
 #: Fresh-process peak RSS of subset-curve on data/ was 38.9, 39.6, 41.1, 43.1
 #: and 46.3 MB at 2^18 to 2^22 bytes (42.3 MB at 256 matrices a stack); below
-#: 2^20 subset_curve got slower (+6% at 2^19, +26% at 2^18), and at M = 100 a
-#: subset stack is already 13 matrices.
+#: 2^20 subset_curve got slower (+6% at 2^19, +26% at 2^18).
 _STACK_BYTES = 1 << 20
 
 
 def _stack_len(n: int) -> int:
-    """Matrices of size n in one stack: as many as fit in _STACK_BYTES, at least one."""
-    return max(1, _STACK_BYTES // (8 * n * n))
+    """Matrices of size n in one stack: as many as fit in _STACK_BYTES, at least 16."""
+    return max(16, _STACK_BYTES // (8 * n * n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,87 +408,20 @@ def sliding_window_effsize(panel: PricePanel, window: WindowSpec) -> list[Window
     ]
 
 
-#: Windows from one restart of the rolling sums of :func:`_window_correlations`
-#: to the next, counted from window 0.
-_RESTART_WINDOWS = 16
-
-#: Largest ratio of a column's largest shifted square sum since the last
-#: restart to its square sum about the window's mean that
-#: :func:`_window_correlations` accepts.
-_CANCELLATION = 4.0
-
-
 def _window_correlations(returns: np.ndarray, rows: int, step: int):
     """Correlations of the windows of ``rows`` returns that start every
-    ``step`` rows of a (T, M) return matrix, yielded in stacks of whole runs
-    that share one buffer: each stack is overwritten by the next.
-
-    A run is ``_RESTART_WINDOWS`` windows from window 0 on, or one window
-    when the step is at least half a window. Its first window's column sums
-    and cross-product sums are taken about its own means; each later
-    window's, shifted by those means, come from the previous window's by
-    adding the rows that enter and removing the rows that leave (Chan, Golub
-    & LeVeque 1983; Pebay 2008): one batched matmul for the stack, then a
-    cumulative sum over each run. A window is summed alone about its own
-    means where the largest shifted square sum of a column since its run
-    began exceeds ``_CANCELLATION`` times its square sum about the window's
-    mean, as the rounding of the running sums grows with the former. A column
-    is risk-free (correlation 0) in a window where none of its returns
-    differs from the one before; :func:`~effport.corrmat._to_correlations`
-    turns the sums into correlations. No result depends on the stack length.
-    """
+    ``step`` rows of a (T, M) return matrix, yielded in stacks of
+    :func:`_stack_len` windows that share one buffer: each stack is
+    overwritten by the next. Each window is summed alone by the Pearson core
+    of :func:`~effport.corrmat.correlation_values`, so it equals that
+    function's value for the window bit for bit."""
     t, m = returns.shape
-    starts = np.arange(0, t - rows + 1, step)
-    period = _RESTART_WINDOWS if 2 * step < rows else 1
-    # the most whole runs that fit _stack_len and, with their entering and
-    # leaving rows or their row-change counts below, _STACK_BYTES; at least one
-    k = max(period, min(_stack_len(m), _STACK_BYTES // (16 * step * m)) // period * period)
-    if period > 1:
-        # the rows that enter a window, then those that leave it, from its first row
-        offsets = np.r_[rows - step : rows, -step:0]
-
-    def window(w):
-        return returns[starts[w] : starts[w] + rows]
-
-    cross_buffer = np.empty((min(k, len(starts)), m, m))
-    sums_buffer = np.empty((len(cross_buffer), m))
+    starts = range(0, t - rows + 1, step)
+    k = _stack_len(m)
+    buffer = np.empty((min(k, len(starts)), m, m))
     for first in range(0, len(starts), k):
-        last = min(first + k, len(starts))
-        cross, sums = cross_buffer[: last - first], sums_buffer[: last - first]
-        # a column varies in a window where its count of row-to-row changes
-        # over the rows of the stack grows inside the window
-        lo, hi = starts[first], starts[last - 1] + rows
-        changes = np.zeros((hi - lo, m), dtype=np.int32)
-        np.cumsum(returns[lo + 1 : hi] != returns[lo : hi - 1], axis=0, dtype=np.int32,
-                  out=changes[1:])
-        varying = changes[starts[first:last] - lo + rows - 1] != changes[starts[first:last] - lo]
-        del changes
-        runs = range(first, last, period)
-        if period > 1:
-            # each window's entering rows less its leaving rows, shifted by the
-            # column means of its run's first window
-            shifts = np.array([window(w).mean(axis=0) for w in runs])
-            moved = returns[starts[first:last, None] + offsets]
-            moved -= shifts[np.arange(last - first) // period, None]
-            signed = moved.copy()
-            signed[:, step:] *= -1.0
-            np.matmul(signed.transpose(0, 2, 1), moved, out=cross)
-            signed.sum(axis=1, out=sums)
-            del moved, signed  # not held while the caller solves the stack
-        square_sums = cross.diagonal(axis1=1, axis2=2)
-        peak = np.empty_like(sums)
-        for w in runs:
-            _centred_sums(window(w), cross[w - first], sums[w - first])
-            run = slice(w - first, w - first + period)
-            np.cumsum(cross[run], axis=0, out=cross[run])
-            np.cumsum(sums[run], axis=0, out=sums[run])
-            np.maximum.accumulate(square_sums[run], axis=0, out=peak[run])
-        # the sums' rounding grows with the largest square sum since the
-        # run began: where that dwarfs the variance, sum the window alone
-        lossy = varying & (peak > _CANCELLATION * (square_sums - sums**2 / rows))
-        for j in np.flatnonzero(lossy.any(axis=1)):
-            _centred_sums(window(first + j), cross[j], sums[j])
-        yield _to_correlations(cross, sums, rows, varying)
+        stack = starts[first : first + k]
+        yield _correlations([returns[s : s + rows] for s in stack], buffer[: len(stack)])
 
 
 def _draw_subsets(rng: np.random.Generator, universe: int, size: int, count: int) -> np.ndarray:

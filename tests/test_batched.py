@@ -2,11 +2,11 @@
 
 ``subset_curve`` and ``sliding_window_effsize`` evaluate whole stacks of
 matrices at once. The loops below evaluate one matrix per iteration through
-the scalar API (a stack of one in the Cholesky core). ``subset_curve`` must
-agree with its loop exactly, NaN included. ``sliding_window_effsize`` keeps
-rolling sums from window to window, so it must agree with its loop on the
-dates, the annual returns and the NaN windows exactly, and on m_ef to a
-relative 1e-12.
+the scalar API (a stack of one in the Cholesky core). Both pipelines must
+agree with their loops exactly, NaN included: ``sliding_window_effsize`` sums
+each window alone by the Pearson core of ``correlation_values``, and each
+stack of :func:`effport.marketdata._stack_len` matrices is solved matrix by
+matrix.
 """
 
 import math
@@ -92,11 +92,8 @@ def loop_sliding(panel, window, trading_days_per_year=252):
 
 
 def assert_sliding_matches(got, want):
-    """Same dates, annual returns and NaN windows; m_ef within 1e-12 relative."""
-    assert [pt[0::2] for pt in got] == [pt[0::2] for pt in want]
-    got_m, want_m = (np.array([pt.m_ef for pt in pts]) for pts in (got, want))
-    assert np.array_equal(np.isnan(got_m), np.isnan(want_m))
-    np.testing.assert_allclose(got_m, want_m, rtol=1e-12, atol=0.0)
+    """Same dates, m_ef, NaN windows and annual returns, bit for bit."""
+    assert exact(got) == exact(want)
 
 
 def exact(points):
@@ -186,7 +183,6 @@ class TestSlidingMatchesLoop:
         window = WindowSpec(length=60, step=2)
         got = sliding_window_effsize(panel, window)
         assert len(got) > marketdata._stack_len(panel.n_assets)
-        assert len(got) > 2 * marketdata._RESTART_WINDOWS
         assert_sliding_matches(got, loop_sliding(panel, window))
 
     def test_duplicated_asset_gives_nan_windows(self, bundled):
@@ -228,25 +224,19 @@ def test_rolling_correlations_match_each_window(t, m, rows, step, seed, flat, bu
         patch.setattr(marketdata, "_STACK_BYTES", budget)
         got = np.concatenate([c.copy() for c in marketdata._window_correlations(returns, rows, step)])
     assert len(got) == count
-    restart = marketdata._RESTART_WINDOWS if 2 * step < rows else 1
     for w, corr in enumerate(got):
-        want = correlation_values(returns[w * step : w * step + rows])
+        # every window is summed alone by the Pearson core of correlation_values
+        assert np.array_equal(corr, correlation_values(returns[w * step : w * step + rows]))
         assert np.array_equal(corr, corr.T)
-        np.testing.assert_allclose(corr, want, rtol=0.0, atol=1e-13)
-        # the risk-free convention is decided exactly, not on rounded sums
-        assert np.array_equal(corr == 0.0, want == 0.0)
-        # a window summed alone goes through the same Pearson core
-        if w % restart == 0:
-            assert np.array_equal(corr, want)
 
 
 def test_long_run_of_windows_stays_close(bundled):
-    # 506 windows, 8 restarts of the rolling sums
+    # 506 windows in 7 stacks, each window equal to its own estimate
     returns = np.diff(bundled[0].prices, axis=0) / bundled[0].prices[:-1]
     got = np.concatenate([c.copy() for c in marketdata._window_correlations(returns, 251, 1)])
+    assert len(got) == 506
     for w, corr in enumerate(got):
-        want = correlation_values(returns[w : w + 251])
-        np.testing.assert_allclose(corr, want, rtol=0.0, atol=1e-13)
+        assert np.array_equal(corr, correlation_values(returns[w : w + 251]))
 
 
 def test_draws_equal_generator_choice():
@@ -275,25 +265,44 @@ def test_draws_equal_generator_choice_tail_shuffle():
 
 @pytest.mark.parametrize("budget", [1, 8 * 40 * 40 * 3])
 def test_output_independent_of_stack_len(bundled, budget, monkeypatch):
-    # one matrix a stack, and stacks of 3 matrices of size 40
+    # one matrix a stack, and stacks of 3 matrices of size 40: the byte rule
+    # of _stack_len without its floor of 16
     panel, partition = bundled
     spec = SubsetCurveSpec(sizes=(2, 10, 40), draws=40, seed=6)
     window = WindowSpec(length=100, step=25)
     want = subset_curve(panel, spec, partition), sliding_window_effsize(panel, window)
-    monkeypatch.setattr(marketdata, "_STACK_BYTES", budget)
+    monkeypatch.setattr(marketdata, "_stack_len", lambda n: max(1, budget // (8 * n * n)))
     assert (subset_curve(panel, spec, partition), sliding_window_effsize(panel, window)) == want
 
 
 @pytest.mark.parametrize("budget", [1, 8 * 40 * 40 * 3])
 @pytest.mark.parametrize("rows, step", [(251, 1), (99, 7), (59, 29)])
 def test_sliding_stacks_hold_whole_runs(bundled, budget, rows, step, monkeypatch):
-    # every stack starts at a restart window, so no rolling sums cross stacks
-    assert 2 * step < rows
+    # both pipelines solve stacks of _stack_len(M) matrices, at least 16,
+    # whatever the byte budget; only the last stack of a run may hold fewer
     monkeypatch.setattr(marketdata, "_STACK_BYTES", budget)
-    returns = marketdata.returns_matrix(bundled[0])
-    sizes = [len(c) for c in marketdata._window_correlations(returns, rows, step)]
-    assert len(sizes) > 1
-    assert all(k % marketdata._RESTART_WINDOWS == 0 for k in sizes[:-1])
+    panel, partition = bundled
+    stacks = []
+
+    def recorded(solve):
+        def call(a, *args):
+            stacks.append(len(a))
+            return solve(a, *args)
+        return call
+
+    monkeypatch.setattr(marketdata, "solve_ones_stack", recorded(marketdata.solve_ones_stack))
+    monkeypatch.setattr(marketdata, "m_ef_stack", recorded(marketdata.m_ef_stack))
+    k = marketdata._stack_len(panel.n_assets)
+    assert k >= 16
+    count = len(sliding_window_effsize(panel, WindowSpec(rows + 1, step)))
+    assert len(stacks) > 1 and sum(stacks) == count
+    assert stacks[:-1] == [k] * (len(stacks) - 1)
+    for size in (2, 10, 40):
+        k = marketdata._stack_len(size)
+        assert k >= 16
+        stacks.clear()
+        subset_curve(panel, SubsetCurveSpec(sizes=(size,), draws=2 * k + 1, seed=1), partition)
+        assert stacks == [k, k, 1]
 
 
 class TestStackMemory:
@@ -322,8 +331,7 @@ class TestStackMemory:
         assert peak <= 5_000_000
 
     def test_sliding_step_beyond_panel(self, bundled):
-        # one window, so no rows enter or leave a window: none are gathered,
-        # however long the step
+        # one window, so one matrix is held, however long the step
         got, peak = self.traced_peak(
             lambda: sliding_window_effsize(bundled[0], WindowSpec(252, 10**6)))
         assert len(got) == 1
@@ -351,8 +359,8 @@ class TestStackMemory:
 
 
 def test_rolling_sums_memory_does_not_grow_with_dates(monkeypatch):
-    # with small stacks, what the rolling sums hold at once is set by the
-    # stack: the row-change counts cover only the rows of one stack's windows
+    # what the sliding windows hold at once is set by the stack: one stack's
+    # correlations and the centred returns of the window being summed
     monkeypatch.setattr(marketdata, "_STACK_BYTES", 16_000)
     rng = np.random.default_rng(8)
     peaks = []
@@ -363,8 +371,8 @@ def test_rolling_sums_memory_does_not_grow_with_dates(monkeypatch):
         )
         assert count > 10
         peaks.append(peak)
-    # less than a byte more per added return; counts over the whole panel
-    # would add 9 (an int64 count and a bool per return)
+    # at most a byte more per added return; a copy of the whole panel's
+    # returns would add 8
     assert peaks[1] - peaks[0] <= (8_000 - 1_000) * 20
 
 

@@ -8,8 +8,10 @@ from effport.binmodel import (
     ENUMERATION_LIMIT,
     BinaryModelParams,
     build_joint,
+    m_ef_uniform,
     sample,
 )
+from effport.corrmat import uniform_inverse_closed_form, uniform_matrix
 from effport.errors import DomainError, EnumerationLimitError
 
 from conftest import table_sum_support
@@ -48,6 +50,14 @@ class TestParams:
     def test_asset_count_must_be_an_int(self, m):
         with pytest.raises(DomainError, match=f"must be an int, got {re.escape(repr(m))}$"):
             BinaryModelParams(m, 0.6, 0.1)
+
+    # the uniform closed forms refuse what BinaryModelParams refuses, with its message
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "3"])
+    @pytest.mark.parametrize("form", [m_ef_uniform, uniform_matrix, uniform_inverse_closed_form])
+    def test_uniform_forms_refuse_what_params_refuse(self, form, m):
+        message = f"^asset count must be an int, got {re.escape(repr(m))}$"
+        with pytest.raises(DomainError, match=message):
+            form(m, 0.3)
 
     @pytest.mark.parametrize("c", [-0.01, 1.2])
     def test_correlation_domain(self, c):
