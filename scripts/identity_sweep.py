@@ -42,8 +42,9 @@ The sweep covers:
   1-date and 2-date panels, of a constant index, of a blank asset name and a
   byte-order mark in a price header, of a byte-order mark in a sector file,
   and of a byte-order mark, a blank name and a repeated name in a
-  correlation header, and of ``data/`` with every cell of one row blank (no
-  asset left) by sliding;
+  correlation header, of ``data/`` with every cell of one row blank (no
+  asset left) by sliding, and of bytes that are not UTF-8 in a price, a
+  sector and a correlation file;
 - asset names that hold a tab or a comma, through estimate-corr and
   ``write_prices_csv``, and blank, repeated and space-padded names through
   ``panel_from_returns`` and ``write_prices_csv``, with estimate-corr on any
@@ -317,6 +318,18 @@ def refusals(cli) -> None:
     lines[100] = lines[100].split(",")[0] + "," * (lines[0].count(",")) + "\n"
     Path("blank_row.csv").write_text("".join(lines))
     run_cli(cli, "refuse/sliding-blank_row.csv", ["sliding", "--prices", "blank_row.csv"])
+    # a Latin-1 e-acute in row 500 of data/ and in a sector name, and 0xff in a matrix header
+    lines = (DATA / "synthetic_prices.csv").read_bytes().split(b"\n")
+    lines[499] = lines[499].replace(b",", b"\xe9,", 1)
+    Path("latin1.csv").write_bytes(b"\n".join(lines))
+    run_cli(cli, "refuse/sliding-latin1.csv", ["sliding", "--prices", "latin1.csv"])
+    Path("latin1_sectors.csv").write_bytes(
+        (DATA / "synthetic_sectors.csv").read_bytes().replace(b",finance\n", b",financ\xe9\n", 2))
+    run_cli(cli, "refuse/effsize-latin1_sectors.csv",
+            ["effsize", "--prices", str(DATA / "synthetic_prices.csv"), "--sectors",
+             "latin1_sectors.csv"])
+    Path("ff_corr.tsv").write_bytes(b"asset\tA\xff\tB\nA\t1\t0\nB\t0\t1\n")
+    run_cli(cli, "refuse/effsize-ff_corr.tsv", ["effsize", "--corr", "ff_corr.tsv"])
 
 
 def flag_refusals(cli) -> None:

@@ -1,25 +1,18 @@
 """The process entry of ``python -m effport`` and of the installed ``effport`` script:
-``cli.main``'s two steps, ``cli.parse`` and ``cli.run``, with the objects of the
-imports frozen out of the cyclic collector between them."""
+the cyclic collector is off for the whole process, and every object is frozen once before exit."""
 
 import gc
 import sys
 
 
 def main() -> None:
-    # The modules a command runs (numpy's alone about 21 000 collector-tracked
-    # objects) live until exit. Collections during the imports free only a
-    # few hundred objects, and once frozen these are traversed by no later
-    # collection, those at shutdown included. cli.parse imports them with the
-    # collector paused, and cli.main, as it also runs in-process, leaves the
-    # collector as it found it and freezes nothing.
+    # Nearly every object lives until exit (numpy's alone about 21 000), so a
+    # command's collections would free only a few hundred. Frozen objects are
+    # also spared the collection at shutdown, which runs with the collector off.
     gc.disable()
     from effport import cli
 
-    args = cli.parse()
-    gc.freeze()
-    gc.enable()
-    code = cli.run(args)
+    code = cli.main()
     gc.freeze()
     sys.exit(code)
 

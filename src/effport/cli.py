@@ -4,15 +4,13 @@ Subcommands: estimate-corr, effsize, subset-curve, sliding, fig1, fig2,
 variance-ratio. Every command is a pure function of its inputs, flags, and
 seed; rerunning writes byte-identical output. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical error. Each command imports the modules it
-runs once its arguments are parsed, with the cyclic collector paused, so
-building the parser loads none of them, and fig1 and fig2 load no numpy.
+runs when it runs, so building the parser loads none of them, and fig1 and
+fig2 load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
-import importlib
 import math
 import sys
 from contextlib import contextmanager
@@ -27,6 +25,7 @@ from .errors import (
     InputShapeError,
     NearSingularError,
     ParseError,
+    open_text,
     write_table,
 )
 
@@ -37,10 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-#: The modules each kind of command runs, with everything they import.
-_PRICE_MODULES = ("effport.marketdata",)  # with numpy, corrmat and effsize
-_GROWTH_MODULES = ("effport.kelly",)  # with binmodel, without numpy
 
 
 class _UsageError(Exception):
@@ -73,7 +68,7 @@ def _read_corr_file(path: str) -> tuple[tuple[str, ...], corrmat.CorrelationMatr
     """Read a correlation matrix in the estimate-corr output format."""
     from . import corrmat, marketdata
 
-    with open(path, "r", newline="") as fh:
+    with open_text(path) as fh:
         assets, table = marketdata.csv_table(fh, "asset", delimiter="\t")
         rows, names = [], []
         for lineno, row in table:
@@ -265,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-corr", help="estimate a correlation matrix from prices")
     p.add_argument("prices", help="price panel CSV")
     p.add_argument("--out", help="write the matrix here; summary goes to stdout")
-    p.set_defaults(func=_cmd_estimate_corr, modules=_PRICE_MODULES)
+    p.set_defaults(func=_cmd_estimate_corr)
 
     p = sub.add_parser("effsize", help="effective-size report for one asset set")
     p.add_argument("--prices", help="price panel CSV")
     p.add_argument("--corr", help="correlation matrix TSV (estimate-corr format)")
     p.add_argument("--sectors", help="asset,sector CSV enabling the sector estimate")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_effsize, modules=_PRICE_MODULES)
+    p.set_defaults(func=_cmd_effsize)
 
     p = sub.add_parser("subset-curve", help="size dependence over random subsets")
     p.add_argument("--prices", required=True)
@@ -281,21 +276,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_subset_curve, modules=_PRICE_MODULES)
+    p.set_defaults(func=_cmd_subset_curve)
 
     p = sub.add_parser("sliding", help="sliding-window effective-size time series")
     p.add_argument("--prices", required=True)
     p.add_argument("--window", type=int, help="window length in trading days")
     p.add_argument("--step", type=int, default=1, help="stride in trading days")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_sliding, modules=_PRICE_MODULES)
+    p.set_defaults(func=_cmd_sliding)
 
     p = sub.add_parser("fig1", help="approximate vs numeric effective size grid")
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--p-list", default="0.55,0.6,0.7", help="comma-separated win probabilities")
     p.add_argument("--c-grid", default=None, help="comma-separated correlations (default 0..1)")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_fig1, modules=_GROWTH_MODULES)
+    p.set_defaults(func=_cmd_fig1)
 
     p = sub.add_parser("fig2", help="growth under misestimated correlation")
     p.add_argument("--m", type=int, default=10)
@@ -303,45 +298,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-true", type=float, default=0.2)
     p.add_argument("--c-grid", default=None, help="comma-separated correlations (default 0..0.6)")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_fig2, modules=_GROWTH_MODULES)
+    p.set_defaults(func=_cmd_fig2)
 
     p = sub.add_parser("variance-ratio", help="index-vs-constituent variance ratio")
     p.add_argument("--index", required=True, help="single-asset price CSV for the index")
     p.add_argument("--constituents", required=True, help="price CSV for the constituents")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_variance_ratio, modules=_PRICE_MODULES)
+    p.set_defaults(func=_cmd_variance_ratio)
 
     return parser
 
 
-def parse(argv: Sequence[str] | None = None) -> argparse.Namespace | int:
-    """The parsed command line, once the modules of its command are imported;
-    or the exit code of a refusal by the parser (1) or of ``--help`` (0).
-
-    The imports run with the cyclic collector paused: the objects they leave
-    live until the process exits, and collections during the imports free
-    only a few hundred. The collector's state is restored afterwards.
-    """
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default); return its exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed its usage error (status 2) or the help (status 0)
         return EXIT_USAGE if exc.code else EXIT_OK
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for name in args.modules:
-            importlib.import_module(name)
-    finally:
-        if enabled:
-            gc.enable()
-    return args
-
-
-def run(args: argparse.Namespace | int) -> int:
-    """Run a command line returned by :func:`parse`; return its exit code."""
-    if isinstance(args, int):
-        return args
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -353,8 +327,3 @@ def run(args: argparse.Namespace | int) -> int:
     except (NearSingularError, BankruptcyError, EnumerationLimitError, ExtrapolationError) as exc:
         print(f"effport: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command line (``sys.argv[1:]`` by default); return its exit code."""
-    return run(parse(argv))

@@ -7,7 +7,7 @@ sum of all entries of the inverse correlation matrix. This module also
 provides the average-correlation (even-investment) estimate, the
 sector-reduced estimate, and the variance-ratio estimate from index data.
 The closed form for uniform correlations, ``m_ef_uniform``, lives with the
-uniform model in :mod:`effport.binmodel` and is importable from here too.
+uniform model in :mod:`effport.binmodel`.
 
 :func:`m_ef_stack` evaluates the exact, even and sector estimates for a
 whole (k, M, M) stack of matrices in one call, through the same formulas; a
@@ -22,15 +22,6 @@ import numpy as np
 
 from .corrmat import solve_ones, solve_ones_stack
 from .errors import DomainError, InputShapeError
-
-
-def __getattr__(name: str):
-    # m_ef_uniform is imported on first use, so price commands never load binmodel
-    if name == "m_ef_uniform":
-        from .binmodel import m_ef_uniform
-
-        return m_ef_uniform
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _matrix_values(c) -> np.ndarray:

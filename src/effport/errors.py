@@ -1,4 +1,6 @@
-"""Exception hierarchy and the table writer shared by all effport modules."""
+"""Exception hierarchy, the text reader and the table writer shared by all effport modules."""
+
+from contextlib import contextmanager
 
 
 class EffportError(Exception):
@@ -45,6 +47,31 @@ class ParseError(EffportError):
 
 class DataError(EffportError):
     """An input file parsed but its contents violate the data contract."""
+
+
+@contextmanager
+def open_text(source):
+    """A path opened as UTF-8 text for the block, or an open text file as it is. A path
+    that is not UTF-8 raises ParseError naming the first line and bytes at fault."""
+    if hasattr(source, "read"):
+        yield source
+        return
+    with open(source, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise _not_utf8(source) from None
+
+
+def _not_utf8(path) -> ParseError:
+    with open(path, "rb") as fh:
+        for line, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = " ".join(f"0x{b:02x}" for b in raw[exc.start:exc.end])
+                return ParseError(f"bytes {bad} are not UTF-8", line=line)
+    return ParseError("file is not UTF-8")
 
 
 #: The conversion of each column kind of a written table: floats get 10

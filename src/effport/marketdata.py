@@ -30,7 +30,7 @@ import numpy as np
 
 from .corrmat import _correlations, correlation_values, solve_ones_stack
 from .effsize import SectorPartition, m_ef_stack
-from .errors import DataError, DomainError, InputShapeError, ParseError, write_table
+from .errors import DataError, DomainError, InputShapeError, ParseError, open_text, write_table
 
 #: Annualization factor: trading days per year.
 TRADING_DAYS_PER_YEAR = 252
@@ -152,12 +152,6 @@ class SubsetCurvePoint(NamedTuple):
     skipped: int
 
 
-def _open_text(source):
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, "r", newline=""), True
-
-
 def csv_table(fh, first: str, delimiter: str = ",", fixed: tuple[str, ...] = ()):
     """The :func:`_header_names` of a delimited table and a generator of its rows.
 
@@ -212,20 +206,18 @@ def load_prices(source) -> PricePanel:
     from its start by the row-by-row reader, which alone judges irregular
     input and builds every error, so both routes accept the same files.
     """
-    fh, owns = _open_text(source)
-    try:
+    with open_text(source) as fh:
         if not fh.seekable():
             fh = io.StringIO(fh.read(), newline="")
         start = fh.tell()
         try:
             return _load_block(fh)
+        except UnicodeDecodeError:
+            raise
         except ValueError:
             fh.seek(start)
             # a file object is split into lines as an opened path is
-            return _load_rows(fh if owns else io.StringIO(fh.read(), newline=""))
-    finally:
-        if owns:
-            fh.close()
+            return _load_rows(io.StringIO(fh.read(), newline="") if fh is source else fh)
 
 
 def _header_names(header: list[str], first: str, fixed: tuple[str, ...] = ()) -> list[str]:
@@ -498,8 +490,7 @@ def subset_curve(
 
 def load_sectors(source) -> dict[str, str]:
     """Load an asset-to-sector map from a two-column CSV with header."""
-    fh, owns = _open_text(source)
-    try:
+    with open_text(source) as fh:
         _, table = csv_table(fh, "asset", fixed=("sector",))
         mapping: dict[str, str] = {}
         for lineno, row in table:
@@ -509,9 +500,6 @@ def load_sectors(source) -> dict[str, str]:
             if asset in mapping:
                 raise ParseError(f"duplicate asset {asset!r}", line=lineno)
             mapping[asset] = sector
-    finally:
-        if owns:
-            fh.close()
     return mapping
 
 

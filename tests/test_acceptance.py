@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from effport import cli
-from effport.binmodel import BinaryModelParams, build_joint, sample, win_count_law
+from effport.binmodel import BinaryModelParams, build_joint, m_ef_uniform, sample, win_count_law
 from effport.corrmat import (
     CorrelationMatrix,
     block_diagonal,
@@ -26,7 +26,7 @@ from effport.corrmat import (
     uniform_inverse_closed_form,
     uniform_matrix,
 )
-from effport.effsize import m_ef_exact, m_ef_uniform
+from effport.effsize import m_ef_exact
 from effport.kelly import (
     m_ef_kelly_numeric,
     maximize_growth_symmetric,

@@ -528,6 +528,25 @@ def test_header_rule_exits_2(kind, header, message, tmp_path, small_panel_path, 
     assert stderr == f"effport: data error: line 1: {message}\n"
 
 
+# a file that is not UTF-8 is refused where it is read, naming the first line
+# and bytes at fault; the corr file ends inside a multi-byte sequence
+@pytest.mark.parametrize("kind, header, line, bad, shown", [
+    ("prices", "date,A,B", 1, b"\xff", "0xff"),
+    ("sectors", "asset,sector", 3, b"\xe9", "0xe9"),
+    ("corr", "asset\tA\tB", 4, b"\xe2\x82", "0xe2 0x82"),
+])
+def test_bytes_not_utf8_exit_2(kind, header, line, bad, shown, tmp_path, small_panel_path,
+                               capsys):
+    delimiter, rows, command = HEADER_FORMATS[kind]
+    lines = f"{header}\n{rows}".encode().split(b"\n")
+    lines[line - 1] += bad
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"\n".join(lines))
+    code, stdout, stderr = run(command(str(path), str(small_panel_path)), capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"effport: data error: line {line}: bytes {shown} are not UTF-8\n"
+
+
 class TestReturnsRefusal:
     """Every command that reads returns from prices refuses bad returns alike."""
 
@@ -802,29 +821,36 @@ def test_entry_writes_the_same_file(tmp_path, small_panel_path, capsys):
     assert (tmp_path / "entry.tsv").read_bytes() == (tmp_path / "in.tsv").read_bytes()
 
 
-# the commands are not run: cli.run only reports the process's state
+# the process policy seen from inside ``python -m effport``: the collector's
+# state at each table the command writes, and at exit the number of objects
+# outside the frozen generation and whether numpy was imported
 ENTRY_STATE = (
-    "import gc, runpy; from effport import cli\n"
-    "def run(args):\n"
-    "    live = {id(o) for o in gc.get_objects()}\n"
-    "    modules = [m for n, m in sys.modules.items()\n"
-    "               if n.startswith(('numpy', 'effport.')) and m is not None]\n"
-    "    print(gc.isenabled(), gc.get_freeze_count() > 0, 'numpy' in sys.modules,\n"
-    "          not any(id(vars(m)) in live for m in modules))\n"
-    "    return 0\n"
-    "cli.run = run\n"
-    "runpy.run_module('effport', run_name='__main__')"
+    "import atexit, gc, runpy, sys; from effport import cli\n"
+    "states = []\n"
+    "def write_table(*args, write=cli.write_table):\n"
+    "    states.append(gc.isenabled())\n"
+    "    write(*args)\n"
+    "cli.write_table = write_table\n"
+    "atexit.register(lambda: print(states, len(gc.get_objects()), 'numpy' in sys.modules,\n"
+    "                              file=sys.stderr))\n"
+    "runpy.run_module('effport', run_name='__main__', alter_sys=True)"
 )
 
 
-def test_entry_runs_the_command_with_the_collector_on_and_imports_frozen():
-    # every module a command runs is imported, and frozen, before it runs;
-    # only the price commands import numpy
-    for argv, numpy in [(["fig1", "--m", "3"], False), (["fig2"], False),
-                        (["effsize", "--corr", "x.tsv"], True),
-                        (["sliding", "--prices", "x.csv"], True)]:
-        out = fresh_python(ENTRY_STATE, *argv)
-        assert out.split() == ["True", "True", str(numpy), "True"], argv
+def test_entry_runs_the_command_with_the_collector_off_and_exits_frozen(tmp_path):
+    prices = str(SRC.parent / "data" / "synthetic_prices.csv")
+    singular = tmp_path / "corr.tsv"
+    write_corr_file(singular, np.array([[1.0, 1.0], [1.0, 1.0]]))
+    for argv, code, state in [
+        (["fig1", "--m", "3"], 0, "[False] 0 False"),
+        (["fig1", "--p-list", "0.5"], 1, "[] 0 False"),
+        (["fig2"], 0, "[False] 0 False"),
+        (["sliding", "--prices", prices, "--step", "100"], 0, "[False] 0 True"),
+        (["effsize", "--corr", str(singular)], 3, "[] 0 True"),
+    ]:
+        child = subprocess.run([sys.executable, "-c", ENTRY_STATE, *argv], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (child.returncode, child.stderr.splitlines()[-1]) == (code, state), argv
 
 
 def test_in_process_main_leaves_the_collector_alone(capsys):
@@ -938,9 +964,8 @@ def test_public_names_resolve_to_their_modules():
 
 
 def test_moved_names_stay_the_same_objects():
-    from effport import binmodel, effsize, errors, marketdata
+    from effport import errors, marketdata
 
-    assert effsize.m_ef_uniform is binmodel.m_ef_uniform
     # every table is written by the one writer
     assert marketdata.write_table is errors.write_table is cli.write_table
 

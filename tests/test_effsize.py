@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from effport import effsize
+from effport.binmodel import m_ef_uniform
 from effport.corrmat import (
     CorrelationMatrix,
     block_diagonal,
@@ -19,7 +20,6 @@ from effport.effsize import (
     m_ef_exact,
     m_ef_sector,
     m_ef_stack,
-    m_ef_uniform,
     m_ef_variance_ratio,
     reduce_to_sectors,
 )

@@ -146,6 +146,21 @@ class TestLoadPrices:
                 load_prices(source)
             assert exc.value.line == 1
 
+    @pytest.mark.parametrize("line", [1, 2500])
+    def test_bytes_not_utf8_refused_by_one_reader(self, line, tmp_path, monkeypatch):
+        # line 2500 lies past the block reader's first block; the fault is not
+        # handed on to the row reader, which would read the file again
+        path = tmp_path / "prices.csv"
+        returns = np.full((3000, 3), 0.001)
+        write_prices_csv(panel_from_returns(returns), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1].replace(b",", b"\xe9,", 1)
+        path.write_bytes(b"\n".join(lines))
+        monkeypatch.setattr(marketdata, "_load_rows", None)
+        with pytest.raises(ParseError, match="bytes 0xe9 are not UTF-8$") as exc:
+            load_prices(path)
+        assert exc.value.line == line
+
     def test_path_input(self, tmp_path):
         p = tmp_path / "prices.csv"
         p.write_text(GOOD_CSV)
