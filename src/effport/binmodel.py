@@ -29,11 +29,9 @@ level of the sampled statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DomainError, EnumerationLimitError
+from .errors import DomainError, EnumerationLimitError, check_int
 
 if TYPE_CHECKING:  # the law (fig1, fig2) needs no numpy
     import numpy as np
@@ -45,20 +43,24 @@ ENUMERATION_LIMIT = 20
 _LOG_FACTORIALS = (0.0,)
 
 
-@dataclass(frozen=True)
-class BinaryModelParams:
+#: ``_make`` of the tuples below that check their fields: it builds through
+#: ``__new__``, so it and ``_replace``, which calls it, run the checks.
+_checked_make = classmethod(lambda cls, values: cls(*values))
+
+
+class BinaryModelParams(NamedTuple("BinaryModelParams", [("m", int), ("p", float), ("c", float)])):
     """Asset count, win probability, and target pairwise correlation."""
 
-    m: int
-    p: float
-    c: float
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        _check_asset_count(self.m)
-        if not 0.0 < self.p < 1.0:
-            raise DomainError(f"win probability must lie in (0, 1), got {self.p}")
-        if not 0.0 <= self.c <= 1.0:
-            raise DomainError(f"correlation must lie in [0, 1], got {self.c}")
+    def __new__(cls, m: int, p: float, c: float):
+        _check_asset_count(m)
+        if not 0.0 < p < 1.0:
+            raise DomainError(f"win probability must lie in (0, 1), got {p}")
+        if not 0.0 <= c <= 1.0:
+            raise DomainError(f"correlation must lie in [0, 1], got {c}")
+        return super().__new__(cls, m, p, c)
 
     @property
     def cond_win(self) -> float:
@@ -70,38 +72,30 @@ class BinaryModelParams:
         """P(asset -1 | hidden -1)."""
         return 1.0 - self.p + self.p * math.sqrt(self.c)
 
-    @property
-    def mu(self) -> float:
-        """Mean return 2p - 1 of one asset."""
-        return 2.0 * self.p - 1.0
 
-    @property
-    def sigma2(self) -> float:
-        """Return variance 4p(1-p) of one asset."""
-        return 4.0 * self.p * (1.0 - self.p)
-
-
-@dataclass(frozen=True, eq=False)
-class JointBinaryDistribution:
+class JointBinaryDistribution(NamedTuple("JointBinaryDistribution", [
+    ("m", int), ("outcomes", "np.ndarray"), ("log_probabilities", "np.ndarray")
+])):
     """Exact probability table over all 2^M sign vectors.
 
-    Probabilities are stored as logs internally so enumeration stays accurate
-    near the 20-asset limit; :attr:`probabilities` exponentiates on demand.
+    Probabilities are stored as logs so enumeration stays accurate near the
+    20-asset limit; :attr:`probabilities` exponentiates them on each access.
     The distribution is exchangeable: probability depends only on the number
-    of winning assets.
+    of winning assets. It holds arrays, so it compares by identity.
     """
 
-    m: int
-    outcomes: np.ndarray
-    log_probabilities: np.ndarray
+    __slots__ = ()
+    _make = _checked_make
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        if self.outcomes.shape != (2**self.m, self.m):
+    def __new__(cls, m: int, outcomes: np.ndarray, log_probabilities: np.ndarray):
+        if outcomes.shape != (2**m, m):
             raise DomainError("outcome table shape does not match asset count")
-        if self.log_probabilities.shape != (2**self.m,):
+        if log_probabilities.shape != (2**m,):
             raise DomainError("probability vector shape does not match outcome table")
+        return super().__new__(cls, m, outcomes, log_probabilities)
 
-    @cached_property
+    @property
     def probabilities(self) -> np.ndarray:
         import numpy as np
 
@@ -110,8 +104,7 @@ class JointBinaryDistribution:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class WinCountLaw:
+class WinCountLaw(NamedTuple("WinCountLaw", [("m", int), ("sums", tuple), ("probs", tuple)])):
     """Exact law of the number k of winning assets, k = 0..M.
 
     ``sums[k] = 2k - M`` is the summed return of all assets when k of them
@@ -120,15 +113,14 @@ class WinCountLaw:
     depends on the model only through these M + 1 points.
     """
 
-    m: int
-    sums: tuple[float, ...]
-    probs: tuple[float, ...]
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        for name in ("sums", "probs"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        if len(self.sums) != self.m + 1 or len(self.probs) != self.m + 1:
+    def __new__(cls, m: int, sums, probs):
+        sums, probs = tuple(map(float, sums)), tuple(map(float, probs))
+        if len(sums) != m + 1 or len(probs) != m + 1:
             raise DomainError("win-count law needs M + 1 sums and probabilities")
+        return super().__new__(cls, m, sums, probs)
 
 
 def _log_factorials(n: int) -> tuple[float, ...]:
@@ -211,8 +203,7 @@ def win_count_law(params: BinaryModelParams) -> WinCountLaw:
 
 def _check_asset_count(m: int) -> None:
     """Refuse an asset count that is not an int (a bool included) or is below 1."""
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise DomainError(f"asset count must be an int, got {m!r}")
+    check_int(m, "asset count")
     if m < 1:
         raise DomainError(f"asset count must be >= 1, got {m}")
 

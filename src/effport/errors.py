@@ -49,12 +49,22 @@ class DataError(EffportError):
     """An input file parsed but its contents violate the data contract."""
 
 
+def check_int(value, what: str) -> None:
+    """Refuse a ``value`` that is not an int (a bool included), naming it as ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an int, got {value!r}")
+
+
 @contextmanager
 def open_text(source):
-    """A path opened as UTF-8 text for the block, or an open text file as it is. A path
-    that is not UTF-8 raises ParseError naming the first line and bytes at fault."""
+    """A path opened as UTF-8 text for the block, or an open text file as it is. Text
+    that is not UTF-8 raises ParseError naming the bytes at fault, and for a path the
+    first line at fault."""
     if hasattr(source, "read"):
-        yield source
+        try:
+            yield source
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"bytes {_bad_bytes(exc)} are not UTF-8") from None
         return
     with open(source, "r", encoding="utf-8", newline="") as fh:
         try:
@@ -63,14 +73,17 @@ def open_text(source):
             raise _not_utf8(source) from None
 
 
+def _bad_bytes(exc: UnicodeDecodeError) -> str:
+    return " ".join(f"0x{b:02x}" for b in exc.object[exc.start:exc.end])
+
+
 def _not_utf8(path) -> ParseError:
     with open(path, "rb") as fh:
         for line, raw in enumerate(fh, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                bad = " ".join(f"0x{b:02x}" for b in raw[exc.start:exc.end])
-                return ParseError(f"bytes {bad} are not UTF-8", line=line)
+                return ParseError(f"bytes {_bad_bytes(exc)} are not UTF-8", line=line)
     return ParseError("file is not UTF-8")
 
 

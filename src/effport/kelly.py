@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .binmodel import BinaryModelParams, JointBinaryDistribution, WinCountLaw, win_count_law
 from .errors import (
@@ -50,8 +49,7 @@ FEASIBILITY_EPS = 1e-9
 MAX_SYMMETRIC_ASSETS = 2000
 
 
-@dataclass(frozen=True)
-class GrowthResult:
+class GrowthResult(NamedTuple):
     """Optimal fraction per asset, growth rate and total fraction at the optimum."""
 
     f_star: float
@@ -59,8 +57,7 @@ class GrowthResult:
     total_fraction: float
 
 
-@dataclass(frozen=True)
-class MisestimationResult:
+class MisestimationResult(NamedTuple):
     """Realized growth when the investor optimized under the wrong correlation."""
 
     c_true: float
@@ -100,7 +97,7 @@ def _expected_log_wealth(probs: Sequence[float], gains: Sequence[float]) -> floa
     return math.fsum([q * math.log1p(g) for q, g in live])
 
 
-def _check_asset_count(m: int) -> None:
+def _check_asset_cap(m: int) -> None:
     if m > MAX_SYMMETRIC_ASSETS:
         raise EnumerationLimitError(
             f"the symmetric growth solvers support at most {MAX_SYMMETRIC_ASSETS} "
@@ -206,7 +203,7 @@ def uncorrelated_total_curve(m: int, p: float) -> tuple[float, ...]:
     250, for p from 0.505 to 0.99). So the curve stops solving there and
     gives each later k the total k * ((1 - eps) / k) that its solve returns.
     """
-    _check_asset_count(m)
+    _check_asset_cap(m)
     totals = []
     for k in range(1, m + 1):
         upper = (1.0 - FEASIBILITY_EPS) / k
@@ -286,7 +283,7 @@ def misestimation_experiment(
     model and then evaluated under the true one. The realized curve peaks at
     the true correlation. Every refusal comes before any law is built.
     """
-    _check_asset_count(m)
+    _check_asset_cap(m)
     true_params = BinaryModelParams(m, p, c_true)
     params = [BinaryModelParams(m, p, c) for c in c_assumed_grid]
     probs, sums = _largest_first(win_count_law(true_params))

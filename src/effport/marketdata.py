@@ -30,7 +30,9 @@ import numpy as np
 
 from .corrmat import _correlations, correlation_values, solve_ones_stack
 from .effsize import SectorPartition, m_ef_stack
-from .errors import DataError, DomainError, InputShapeError, ParseError, open_text, write_table
+from .errors import (
+    DataError, DomainError, InputShapeError, ParseError, check_int, open_text, write_table,
+)
 
 #: Annualization factor: trading days per year.
 TRADING_DAYS_PER_YEAR = 252
@@ -107,6 +109,8 @@ class WindowSpec:
     step: int = 1
 
     def __post_init__(self):
+        check_int(self.length, "window length")
+        check_int(self.step, "window step")
         if self.length < 30:
             raise DomainError(f"window length must be >= 30 trading days, got {self.length}")
         if self.step < 1:
@@ -122,7 +126,11 @@ class SubsetCurveSpec:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(self.sizes)
+        for size in sizes:
+            check_int(size, "portfolio size")
+        check_int(self.draws, "draws")
+        check_int(self.seed, "seed")
         if len(sizes) < 1:
             raise DomainError("need at least one portfolio size")
         if any(s < 2 for s in sizes):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrmat import CorrelationMatrix, InverseCorrelationMatrix
-from .errors import DomainError, InputShapeError
+from .errors import DomainError, InputShapeError, check_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,14 +36,6 @@ class PortfolioWeights:
         f.flags.writeable = False
         object.__setattr__(self, "fractions", f)
 
-    @property
-    def total(self) -> float:
-        """Total invested fraction; the remainder sits in the risk-free asset."""
-        return float(np.sum(self.fractions))
-
-    def __len__(self) -> int:
-        return self.fractions.size
-
 
 @dataclass(frozen=True)
 class IdenticalAssetParams:
@@ -56,6 +48,7 @@ class IdenticalAssetParams:
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
+        check_int(self.m, "asset count")
         if self.m < 1:
             raise DomainError(f"asset count must be >= 1, got {self.m}")
 

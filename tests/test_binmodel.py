@@ -7,9 +7,11 @@ import pytest
 from effport.binmodel import (
     ENUMERATION_LIMIT,
     BinaryModelParams,
+    JointBinaryDistribution,
     build_joint,
     m_ef_uniform,
     sample,
+    win_count_law,
 )
 from effport.corrmat import uniform_inverse_closed_form, uniform_matrix
 from effport.errors import DomainError, EnumerationLimitError
@@ -37,8 +39,8 @@ class TestParams:
         params = BinaryModelParams(3, 0.55, 0.25)
         assert params.cond_win == pytest.approx(0.55 + 0.45 * 0.5)
         assert params.cond_lose == pytest.approx(0.45 + 0.55 * 0.5)
-        assert params.mu == pytest.approx(0.1)
-        assert params.sigma2 == pytest.approx(4 * 0.55 * 0.45)
+        # each asset wins with probability p, so its mean return is 2p - 1
+        assert 0.55 * params.cond_win + 0.45 * (1.0 - params.cond_lose) == pytest.approx(0.55)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_probability_domain(self, p):
@@ -59,6 +61,16 @@ class TestParams:
         with pytest.raises(DomainError, match=message):
             form(m, 0.3)
 
+    def test_replace_checks_as_the_constructor_does(self):
+        params = BinaryModelParams(3, 0.55, 0.25)
+        assert params._replace(c=0.5) == BinaryModelParams(3, 0.55, 0.5)
+        with pytest.raises(DomainError, match="^win probability must lie in"):
+            params._replace(p=2.0)
+        with pytest.raises(DomainError, match="^win-count law needs M"):
+            win_count_law(params)._replace(probs=(1.0,))
+        with pytest.raises(DomainError, match="^outcome table shape"):
+            build_joint(params)._replace(m=4)
+
     @pytest.mark.parametrize("c", [-0.01, 1.2])
     def test_correlation_domain(self, c):
         with pytest.raises(DomainError):
@@ -73,6 +85,14 @@ class TestParams:
 
 
 class TestBuildJoint:
+    @pytest.mark.parametrize("outcomes,logp,message", [
+        ((4, 3), (4,), "outcome table shape does not match asset count"),
+        ((4, 2), (3,), "probability vector shape does not match outcome table"),
+    ])
+    def test_table_shapes_checked(self, outcomes, logp, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            JointBinaryDistribution(2, np.ones(outcomes), np.zeros(logp))
+
     def test_enumeration_limit(self):
         with pytest.raises(EnumerationLimitError):
             build_joint(BinaryModelParams(ENUMERATION_LIMIT + 1, 0.6, 0.1))

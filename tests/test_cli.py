@@ -911,20 +911,24 @@ SUBMODULES = ("binmodel", "cli", "corrmat", "effsize", "errors", "kelly", "marke
 @pytest.mark.parametrize("name", WORKLOAD_COMMANDS)
 def test_workload_command_imports(name, workload_inputs, capsys):
     # numpy.ma costs a fresh process about 15 ms and 1.2 MB; numpy.random is
-    # needed only for subset-curve's draws
+    # needed only for subset-curve's draws; dataclasses, with the inspect it
+    # imports, costs about 6 ms, which a price command pays under numpy anyway
     capsys.readouterr()
     argv = [arg.format(d=workload_inputs) for arg in WORKLOAD_COMMANDS[name]]
     out = fresh_python(
         "from effport import cli; code = cli.main(sys.argv[1:]); "
         "ours = sorted(m[8:] for m in sys.modules if m.startswith('effport.')); "
         "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules, "
-        "'numpy.random' in sys.modules, ','.join(ours))",
+        "'numpy.random' in sys.modules, ','.join(ours), "
+        "'dataclasses' in sys.modules, 'inspect' in sys.modules)",
         *argv,
     )
     growth = name.startswith("fig")
     modules = GROWTH_MODULES if growth else PRICE_MODULES
-    assert out.split()[-5:] == ["0", str(not growth), "False", str(name == "subset-curve"),
-                                modules]
+    assert out.split()[-7:-2] == ["0", str(not growth), "False", str(name == "subset-curve"),
+                                  modules]
+    if growth:
+        assert out.split()[-2:] == ["False", "False"]
 
 
 def test_package_import_loads_no_submodule():

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import runpy
 import sys
 import tracemalloc
@@ -161,6 +162,15 @@ class TestLoadPrices:
             load_prices(path)
         assert exc.value.line == line
 
+    def test_bytes_not_utf8_in_open_file_refused(self, tmp_path):
+        # an open file cannot be scanned again from its start, so no line is named
+        path = tmp_path / "prices.csv"
+        path.write_bytes(GOOD_CSV.encode().replace(b"\n2", b"\n\xe92", 1))
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(ParseError, match="^bytes 0xe9 are not UTF-8$") as exc:
+                load_prices(fh)
+        assert exc.value.line is None
+
     def test_path_input(self, tmp_path):
         p = tmp_path / "prices.csv"
         p.write_text(GOOD_CSV)
@@ -311,6 +321,15 @@ class TestWindowSpec:
         with pytest.raises(DomainError):
             WindowSpec(length=40, step=0)
 
+    # a float or bool would otherwise fail later, inside the window loop
+    @pytest.mark.parametrize("field,value", [
+        ("length", 40.5), ("length", True), ("length", "60"), ("step", 2.5), ("step", np.int64(2)),
+    ])
+    def test_length_and_step_must_be_ints(self, field, value):
+        message = f"^window {field} must be an int, got {re.escape(repr(value))}$"
+        with pytest.raises(DomainError, match=message):
+            WindowSpec(**{field: value})
+
 
 def make_uniform_panel(seed=77, t=900, m=5, c=0.5, scale=0.01):
     """One-factor model with exact population correlation c between assets."""
@@ -431,6 +450,18 @@ class TestSubsetCurve:
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             SubsetCurveSpec(sizes=(3,), draws=10, seed=-1)
 
+    # a float size was truncated, a float draw count or seed failed inside numpy
+    @pytest.mark.parametrize("field,value,what", [
+        ("sizes", (3, 2.7), "portfolio size"), ("sizes", (True,), "portfolio size"),
+        ("sizes", (np.int64(3),), "portfolio size"), ("draws", 2.5, "draws"),
+        ("seed", 1.5, "seed"), ("seed", "1", "seed"),
+    ])
+    def test_counts_must_be_ints(self, field, value, what):
+        bad = value[-1] if field == "sizes" else value
+        message = f"^{what} must be an int, got {re.escape(repr(bad))}$"
+        with pytest.raises(DomainError, match=message):
+            SubsetCurveSpec(**{"sizes": (3,), "draws": 10, "seed": 0, field: value})
+
 
 class TestSectors:
     def test_load_and_partition(self, tmp_path):
@@ -459,6 +490,14 @@ class TestSectors:
     def test_duplicate_asset(self):
         with pytest.raises(ParseError):
             load_sectors(io.StringIO("asset,sector\nAAA,tech\nAAA,energy\n"))
+
+    def test_bytes_not_utf8_in_open_file_refused(self, tmp_path):
+        path = tmp_path / "sectors.csv"
+        path.write_bytes(b"asset,sector\nAAA,t\xe9ch\n")
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(ParseError, match="^bytes 0xe9 are not UTF-8$") as exc:
+                load_sectors(fh)
+        assert exc.value.line is None
 
     # the header names exactly the two columns; an extra one is its own fault
     @pytest.mark.parametrize("rows", ["AAA,tech\n", "AAA,tech,1\n"])

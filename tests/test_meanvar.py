@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ from effport.meanvar import (
 class TestPortfolioWeights:
     def test_total(self):
         w = PortfolioWeights(np.array([0.2, 0.3]))
-        assert w.total == pytest.approx(0.5)
-        assert len(w) == 2
+        assert float(w.fractions.sum()) == pytest.approx(0.5)
+        assert w.fractions.shape == (2,)
         assert not w.clipped
 
     def test_nonfinite_rejected(self):
@@ -29,7 +31,15 @@ class TestPortfolioWeights:
             PortfolioWeights(np.array([0.1, np.inf]))
 
     def test_negative_allowed_here(self):
-        assert PortfolioWeights(np.array([-0.4, 0.9])).total == pytest.approx(0.5)
+        assert PortfolioWeights(np.array([-0.4, 0.9])).fractions.tolist() == [-0.4, 0.9]
+
+
+class TestIdenticalAssetParams:
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "3", np.int64(3)])
+    def test_asset_count_must_be_an_int(self, m):
+        message = f"^asset count must be an int, got {re.escape(repr(m))}$"
+        with pytest.raises(DomainError, match=message):
+            IdenticalAssetParams(0.1, 0.2, m)
 
 
 class TestMoments:

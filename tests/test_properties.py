@@ -9,6 +9,7 @@ lines. The entry sum of ``np.linalg.inv`` is the oracle for the Cholesky
 solve against ones.
 """
 
+import dataclasses
 import datetime
 import io
 import math
@@ -21,6 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import effport as ep
 from effport import marketdata
 from effport.binmodel import BinaryModelParams, WinCountLaw, build_joint, win_count_law
 from effport.corrmat import (
@@ -423,3 +425,44 @@ def test_table_conversions(x, n):
     write_table(out, ("n", "x"), (int, float), [(n, x)])
     assert fmt_float(x) == f"{x:.10g}"
     assert out.getvalue() == f"n\tx\n{n}\t{fmt_float(x)}\n"
+
+
+_PAIR = np.array([[1.0, 0.2], [0.2, 1.0]])
+_PARAMS = BinaryModelParams(3, 0.55, 0.25)
+
+#: One value of every public value type, built anew on each call.
+VALUES = {
+    "BinaryModelParams": lambda: BinaryModelParams(3, 0.55, 0.25),
+    "JointBinaryDistribution": lambda: build_joint(_PARAMS),
+    "WinCountLaw": lambda: win_count_law(_PARAMS),
+    "GrowthResult": lambda: maximize_growth_symmetric(win_count_law(_PARAMS)),
+    "MisestimationResult": lambda: ep.misestimation_experiment(3, 0.6, 0.2, [0.1])[0],
+    "CorrelationMatrix": lambda: CorrelationMatrix(_PAIR),
+    "InverseCorrelationMatrix": lambda: ep.invert(CorrelationMatrix(_PAIR)),
+    "SectorPartition": lambda: ep.SectorPartition(("a", "b")),
+    "EffSizeReport": lambda: effsize_report(CorrelationMatrix(_PAIR)),
+    "PricePanel": lambda: ep.panel_from_returns(np.full((3, 2), 0.01), assets=["A", "B"]),
+    "WindowSpec": lambda: ep.WindowSpec(),
+    "SubsetCurveSpec": lambda: ep.SubsetCurveSpec(sizes=(2, 3)),
+    "PortfolioWeights": lambda: ep.PortfolioWeights(np.array([0.1, 0.2])),
+    "IdenticalAssetParams": lambda: ep.IdenticalAssetParams(0.1, 0.2, 3),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_are_immutable(name):
+    # README: every value type is immutable after construction; one that holds
+    # an array compares by identity, any other by value, and each one hashes
+    value, twin = VALUES[name](), VALUES[name]()
+    assert type(value).__name__ == name
+    fields = getattr(value, "_fields", None) or [f.name for f in dataclasses.fields(value)]
+    arrays = [getattr(value, f) for f in fields if isinstance(getattr(value, f), np.ndarray)]
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(twin, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not any(a.flags.writeable for a in arrays)
+    assert (value == twin) is not bool(arrays) and (value != twin) is bool(arrays)
+    assert value == value and hash(value) == hash(value)
+    hash(twin)
