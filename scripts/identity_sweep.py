@@ -14,7 +14,8 @@ hashed output is also written to ``DIR/name``, so the lines that differ are
 listed by ``diff -r`` on two dumps.
 Each command runs in-process through ``cli.main``; with ``--entry`` it runs as a
 fresh ``python -m effport`` process on ``SRC_DIR`` instead, so the listing also
-checks the process entry, and matches the in-process one.
+checks the process entry, and matches the in-process one. Both run OpenBLAS at
+the entry's thread count: one, unless ``OPENBLAS_NUM_THREADS`` is set.
 
 The sweep covers:
 
@@ -381,6 +382,8 @@ def main(argv: list[str]) -> int:
     if entry:
         ENTRY_SRC = src
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    # the default of effport.__main__, which OpenBLAS reads when numpy loads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
     import workloads
     import writeprices

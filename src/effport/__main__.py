@@ -1,7 +1,8 @@
-"""The process entry of ``python -m effport`` and of the installed ``effport`` script:
-the cyclic collector is off for the whole process, and every object is frozen once before exit."""
+"""The process entry of ``python -m effport`` and of the installed ``effport`` script: the
+collector is off, OpenBLAS runs one thread by default, and every object is frozen at exit."""
 
 import gc
+import os
 import sys
 
 
@@ -10,6 +11,11 @@ def main() -> None:
     # command's collections would free only a few hundred. Frozen objects are
     # also spared the collection at shutdown, which runs with the collector off.
     gc.disable()
+    # Read once, when a price command first imports numpy: one thread gives one
+    # kernel path whatever the core count, so the last digits of ill-conditioned
+    # estimates do not move with the host, and it costs no wall time at the
+    # matrix sizes of the commands.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from effport import cli
 
     code = cli.main()

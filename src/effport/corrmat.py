@@ -129,7 +129,8 @@ def _correlations(windows: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
     sums = np.empty(out.shape[:2])
     varying = np.empty(out.shape[:2], dtype=bool)
     for window, cross, total, varies in zip(windows, out, sums, varying):
-        centred = window - window.mean(axis=0)
+        # the bits of window.mean(axis=0), without the call through numpy's _methods
+        centred = window - np.add.reduce(window, axis=0) / len(window)
         np.matmul(centred.T, centred, out=cross)
         centred.sum(axis=0, out=total)
         (window != window[0]).any(axis=0, out=varies)
@@ -254,14 +255,15 @@ def solve_ones_stack(a: np.ndarray) -> OnesSolution:
     factor, factored = _cholesky(a)
     y = _forward(factor)
     x = _backward(factor, y)
-    residual = np.abs(a @ x[:, 0, :, None] - 1.0).max(axis=(1, 2))
-    residual[~factored] = np.nan
+    residual = np.where(factored, np.abs(a @ x[:, 0, :, None] - 1.0).max(axis=(1, 2)), np.nan)
     # |C^-1 u|^2 / u'C^-1 u, for u the ones vector and the LINPACK start,
     # is a weighted mean of the 1 / lambda_i and so at most 1 / lambda_min
     inverse_norm = ((x * x).sum(axis=2) / (y * y).sum(axis=2)).max(axis=1)
     rcond = np.where(factored, 1.0 / (inverse_norm * _largest_eigenvalue(factor)), 0.0)
     usable = (rcond >= RCOND_FLOOR) & (residual <= INVERSE_RESIDUAL_TOL)
     m_ef = np.where(usable, (y[:, 0] ** 2).sum(axis=1), np.nan)
+    for array in (m_ef, factor, rcond, residual, usable):
+        array.flags.writeable = False
     return OnesSolution(m_ef=m_ef, factor=factor, rcond=rcond, residual=residual, usable=usable)
 
 

@@ -1,7 +1,17 @@
+import os
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+# Tier-1 runs OpenBLAS at the thread count of the process entry
+# (effport.__main__), so that its in-process checks see the bytes the CLI
+# prints. OpenBLAS reads the variable when numpy loads, so it is set before
+# numpy is imported here; test_cli.py checks that nothing imported numpy first.
+NUMPY_LOADED_BEFORE_CONFTEST = "numpy" in sys.modules
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

@@ -853,6 +853,36 @@ def test_entry_runs_the_command_with_the_collector_off_and_exits_frozen(tmp_path
         assert (child.returncode, child.stderr.splitlines()[-1]) == (code, state), argv
 
 
+# the OpenBLAS thread count that ``effport.__main__.main`` leaves to the
+# command, and whether numpy, which reads it once on import, was loaded before
+ENTRY_THREADS = (
+    "import os, sys, effport.__main__, effport.cli\n"
+    "def command():\n"
+    "    print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n"
+    "    return 0\n"
+    "effport.cli.main = command\n"
+    "effport.__main__.main()"
+)
+
+
+@pytest.mark.parametrize("value, shown", [(None, "1 False"), ("3", "3 False")])
+def test_entry_runs_one_blas_thread_unless_the_user_set_a_count(value, shown):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    child = subprocess.run([sys.executable, "-c", ENTRY_THREADS], capture_output=True,
+                           text=True, env={**env, "PYTHONPATH": str(SRC)})
+    assert (child.returncode, child.stdout, child.stderr) == (0, shown + "\n", "")
+
+
+def test_tier1_runs_at_the_entry_thread_count():
+    # conftest sets the entry's default, which OpenBLAS reads only if numpy
+    # was not loaded before it
+    import conftest
+
+    assert not conftest.NUMPY_LOADED_BEFORE_CONFTEST
+
+
 def test_in_process_main_leaves_the_collector_alone(capsys):
     prices = str(SRC.parent / "data" / "synthetic_prices.csv")
     for argv in (["fig1", "--m", "3", "--c-grid", "0"],

@@ -12,6 +12,7 @@ from effport.corrmat import (
     block_diagonal,
     correlation_values,
     invert,
+    solve_ones,
     solve_ones_stack,
     symmetric_inverse,
     uniform_inverse_closed_form,
@@ -253,6 +254,15 @@ class TestInverseStack:
         inv, rcond = symmetric_inverse(good)
         assert rcond == one.rcond[0]
         assert out.m_ef[0] == pytest.approx(inv.sum(), rel=1e-13)
+
+    def test_solutions_are_read_only(self, random_correlation):
+        # README: every value type is immutable, so a solution's arrays are too,
+        # for a stack with a failed factorisation (identity factor) and for one matrix
+        good = random_correlation(np.random.default_rng(5), 4)
+        for out in (solve_ones_stack(np.array([good, np.ones((4, 4))])), solve_ones(good)):
+            assert [array.flags.writeable for array in out] == [False] * 5
+            with pytest.raises(ValueError, match="read-only"):
+                out.m_ef[0] = 0.0
 
     def test_residual_failure_is_refused(self):
         # above the rcond floor, yet too ill-conditioned for the 1e-8 residual:
