@@ -11,7 +11,8 @@ Every command is also listed with a hash of its exit code and standard error
 (``name.exit``), and a command that raises, ``SystemExit`` included, with a
 hash of the exception's type name (``name.raised``). With ``--dump DIR`` every
 hashed output is also written to ``DIR/name``, so the lines that differ are
-listed by ``diff -r`` on two dumps.
+listed by ``diff -r`` on two dumps. Any other option, or a ``SRC_DIR`` without
+``effport/__init__.py``, prints the usage line and exits 1.
 Each command runs in-process through ``cli.main``; with ``--entry`` it runs as a
 fresh ``python -m effport`` process on ``SRC_DIR`` instead, so the listing also
 checks the process entry, and matches the in-process one. Both run OpenBLAS at
@@ -34,6 +35,9 @@ The sweep covers:
 - effsize and estimate-corr on ``data/``, and on ``data/`` with its first
   asset's price held constant and its second asset's returns given a mean
   1e4 times their spread;
+- ``data/`` with listings and delistings (FIN01's first 100 prices and
+  TEC03's last 60 emptied) through effsize with sectors, sliding at 252/1
+  and estimate-corr;
 - a seeded 2521 x 100 panel and its index through estimate-corr, effsize,
   variance-ratio, subset-curve and sliding;
 - sliding at 252/1 on a seeded 401 x 250 panel, whose 251-return windows
@@ -230,6 +234,24 @@ def correlation_edge_cases(cli, marketdata, np) -> None:
     run_cli(cli, "edge/effsize-riskfree", ["effsize", "--prices", "riskfree.csv"])
 
 
+def listings(cli) -> None:
+    lines = (DATA / "synthetic_prices.csv").read_text().split("\n")
+    header = lines[0].split(",")
+    first, last = header.index("FIN01"), header.index("TEC03")
+    rows = [line.split(",") for line in lines[1:-1]]
+    for row in rows[:100]:
+        row[first] = ""
+    for row in rows[-60:]:
+        row[last] = ""
+    Path("listings.csv").write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+    record("listings/listings.csv", Path("listings.csv").read_bytes())
+    prices = ["--prices", "listings.csv"]
+    run_cli(cli, "listings/effsize-sectors",
+            ["effsize", *prices, "--sectors", str(DATA / "synthetic_sectors.csv")])
+    run_cli(cli, "listings/sliding-252-1", ["sliding", *prices, "--window", "252", "--step", "1"])
+    run_cli(cli, "listings/estimate-corr", ["estimate-corr", "listings.csv"])
+
+
 def write_copy(marketdata, path: str, panel_of) -> bool:
     """Write the panel ``panel_of()`` to ``copy_<path>`` and record the file, or
     the type name of the exception either call raised; True if written."""
@@ -375,7 +397,9 @@ def main(argv: list[str]) -> int:
     if argv[:1] == ["--dump"] and len(argv) == 3:
         DUMP = Path(argv[1]).resolve()
         argv = argv[2:]
-    if len(argv) != 1:
+    # before any import, which would fail with no effport package in SRC_DIR
+    if len(argv) != 1 or argv[0].startswith("-") or not (
+            Path(argv[0]) / "effport" / "__init__.py").is_file():
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 1
     src = Path(argv[0]).resolve()
@@ -400,6 +424,7 @@ def main(argv: list[str]) -> int:
         near_full_rank(cli, marketdata, np)
         sliding_edge_cases(cli, marketdata, np)
         correlation_edge_cases(cli, marketdata, np)
+        listings(cli)
         odd_names(cli, marketdata)
         refusals(cli)
         flag_refusals(cli)

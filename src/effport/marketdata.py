@@ -208,24 +208,38 @@ def load_prices(source) -> PricePanel:
     ``YYYY-MM-DD`` form and ``nan``/``inf`` prices) raise ParseError with the
     line number, nonpositive prices raise DataError.
 
-    A regular file (no quotes, carriage returns, blank lines or missing
-    quotes) is read in blocks of whole lines into one ``np.loadtxt`` call,
-    holding little more than the price array. Any other file is read again
-    from its start by the row-by-row reader, which alone judges irregular
-    input and builds every error, so both routes accept the same files.
+    A regular file (no quotes, carriage returns, blank lines or letters but an
+    exponent's ``e``) is read in blocks of whole lines, empty cells as NaN,
+    into one ``np.loadtxt`` call, holding little more than the price array.
+    Any other file is read again from its start by the row-by-row reader, which
+    alone judges irregular input and builds every error, so both routes accept
+    the same files.
     """
     with open_text(source) as fh:
         if not fh.seekable():
             fh = io.StringIO(fh.read(), newline="")
         start = fh.tell()
         try:
-            return _load_block(fh)
+            head = fh.readline().removesuffix("\n")
+            # the row reader refuses fields longer than the limit, header fields included
+            if not head or '"' in head or "\r" in head or len(head) > csv.field_size_limit():
+                raise _Irregular
+            assets = _header_names(head.split(","), "date")
+            dates: list[str] = []
+            # comments=None: with the default "#", the cell "2.0#c" would read as 2.0
+            prices = np.loadtxt(
+                _regular_lines(fh, len(assets), dates), delimiter=",",
+                usecols=range(1, len(assets) + 1), dtype=float, ndmin=2, comments=None)
+            # fmin and fmax pass over the NaN of an empty cell, with no temporary array
+            if not (np.fmin.reduce(prices, None) > 0.0 and np.fmax.reduce(prices, None) < np.inf):
+                raise _Irregular
         except UnicodeDecodeError:
             raise
         except ValueError:
             fh.seek(start)
             # a file object is split into lines as an opened path is
             return _load_rows(io.StringIO(fh.read(), newline="") if fh is source else fh)
+    return _panel(dates, assets, prices)
 
 
 def _header_names(header: list[str], first: str, fixed: tuple[str, ...] = ()) -> list[str]:
@@ -260,70 +274,58 @@ class _Irregular(ValueError):
     """Input that the block reader leaves to the row reader."""
 
 
-def _regular_lines(fh, m: int, dates: list[str]):
-    """The data lines of ``fh``, checked a block at a time; dates go to ``dates``.
+def _is_date(text) -> bool:
+    """Whether ``text`` is a string of a valid date in ``YYYY-MM-DD`` form."""
+    # fromisoformat alone also takes 20080103 on Python >= 3.11
+    if not isinstance(text, str) or len(text) != 10 or text[4] != "-" or text[7] != "-":
+        return False
+    try:
+        datetime.date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True
 
-    Raises _Irregular at a block with quotes, carriage returns, an empty cell,
-    a field-count mismatch or a line over the csv field-size limit, at the end
-    of a file with no data line, and ValueError at an invalid date.
-    """
+
+def _regular_lines(fh, m: int, dates: list[str]):
+    """The data lines of ``fh``, checked a block at a time, with ``nan`` written
+    into each empty cell; dates go to ``dates``. Raises _Irregular at a block
+    with quotes, carriage returns, an ``n`` or ``N`` (held by every written
+    ``nan`` or ``inf``, so only an empty cell reads as NaN), a field-count
+    mismatch, a line over the csv field-size limit or an invalid date, and at
+    the end of a file with no data line."""
     while block := fh.read(_BLOCK_CHARS):
         if block[-1] != "\n":
             block += fh.readline()
-        lines = block.removesuffix("\n").split("\n")
-        if ('"' in block or "\r" in block or ",," in block or block.count(",") != len(lines) * m
-                or max(map(len, lines)) > csv.field_size_limit()):
+        body = block.removesuffix("\n")
+        if '"' in body or "\r" in body or "n" in body or "N" in body:
+            raise _Irregular
+        if ",," in body:
+            # two passes fill adjacent empty cells
+            body = body.replace(",,", ",nan,").replace(",,", ",nan,")
+        lines = body.split("\n")
+        if body.count(",") != len(lines) * m or max(map(len, lines)) > csv.field_size_limit():
             raise _Irregular
         for line in lines:
-            if line[10:11] != "," or line[4] != "-" or line[7] != "-" or line[-1] == ",":
-                raise _Irregular
             date = line[:10]
-            datetime.date.fromisoformat(date)
+            if line[10:11] != "," or not _is_date(date):
+                raise _Irregular
             dates.append(date)
-        yield from lines
+        # an empty last cell, found line by line: a ",\n" scan of the block costs 8x more
+        yield from (line + "nan" if line[-1] == "," else line for line in lines)
     # so loadtxt never parses (and warns about) an empty input
     if not dates:
         raise _Irregular
 
 
-def _load_block(fh) -> PricePanel:
-    """The prices of an open file through one ``np.loadtxt`` call over
-    :func:`_regular_lines`. Raises ValueError for every input the row reader
-    must judge, an unconvertible, nonfinite or nonpositive price included."""
-    head = fh.readline().removesuffix("\n")
-    # the row reader refuses fields longer than the limit, header fields included
-    if not head or '"' in head or "\r" in head or len(head) > csv.field_size_limit():
-        raise _Irregular
-    assets = _header_names(head.split(","), "date")
-    dates: list[str] = []
-    # comments=None: with the default "#", the cell "2.0#c" would read as 2.0
-    prices = np.loadtxt(
-        _regular_lines(fh, len(assets), dates), delimiter=",",
-        usecols=range(1, len(assets) + 1), dtype=float, ndmin=2, comments=None,
-    )
-    if not (np.isfinite(prices).all() and (prices > 0.0).all()):
-        raise _Irregular
-    prices.flags.writeable = False
-    return PricePanel(dates=tuple(dates), assets=tuple(assets), prices=prices)
-
-
 def _load_rows(fh) -> PricePanel:
-    """Row-by-row reader: handles missing quotes and builds every load error."""
+    """Row-by-row reader: reads every file the block reader leaves and builds every error."""
     assets, table = csv_table(fh, "date")
 
-    dates: list[str] = []
-    rows: list[list[float]] = []
+    dates, rows = [], []
     for lineno, row in table:
         token = row[0].strip()
-        try:
-            # fromisoformat alone also takes 20080103 on Python >= 3.11
-            if len(token) != 10 or token[4] != "-" or token[7] != "-":
-                raise ValueError
-            datetime.date.fromisoformat(token)
-        except ValueError:
-            raise ParseError(
-                f"invalid date {token!r}, expected YYYY-MM-DD", line=lineno
-            ) from None
+        if not _is_date(token):
+            raise ParseError(f"invalid date {token!r}, expected YYYY-MM-DD", line=lineno)
         values = []
         for name, cell in zip(assets, row[1:]):
             cell = cell.strip()
@@ -335,22 +337,23 @@ def _load_rows(fh) -> PricePanel:
                 if not math.isfinite(price):
                     raise ValueError
             except ValueError:
-                raise ParseError(
-                    f"unparseable price {cell!r} for {name}", line=lineno
-                ) from None
+                raise ParseError(f"unparseable price {cell!r} for {name}", line=lineno) from None
             if price <= 0.0:
                 raise DataError(f"line {lineno}: nonpositive price {cell} for {name}")
             values.append(price)
         dates.append(token)
         rows.append(values)
+    return _panel(dates, assets, np.asarray(rows, dtype=float))
 
-    prices = np.asarray(rows, dtype=float)
-    complete = ~np.any(np.isnan(prices), axis=0)
-    dropped = tuple(a for a, keep in zip(assets, complete) if not keep)
-    kept = tuple(a for a, keep in zip(assets, complete) if keep)
-    prices = prices.compress(complete, axis=1)
+
+def _panel(dates: list[str], assets: list[str], prices: np.ndarray) -> PricePanel:
+    """The panel of the columns of ``prices`` without NaN, dropping the others' assets."""
+    # NaN propagates through max, and every other cell is finite
+    complete = ~np.isnan(prices.max(axis=0))
+    prices = prices if complete.all() else prices.compress(complete, axis=1)
     prices.flags.writeable = False
-    return PricePanel(dates=tuple(dates), assets=kept, prices=prices, dropped_assets=dropped)
+    names = np.array(assets, dtype=object)
+    return PricePanel(tuple(dates), tuple(names[complete]), prices, tuple(names[~complete]))
 
 
 def returns_matrix(panel: PricePanel) -> np.ndarray:
@@ -547,17 +550,18 @@ def panel_from_returns(
     np.cumprod(r, axis=0, out=prices[1:])
     prices[1:] *= prices[0]
     prices.flags.writeable = False
-    origin = datetime.date(2000, 1, 3).toordinal()
-    dates = tuple(
-        datetime.date.fromordinal(origin + i).isoformat() for i in range(t + 1)
-    )
-    return PricePanel(dates=dates, assets=tuple(assets), prices=prices)
+    del r
+    dates = np.datetime64("2000-01-03") + np.arange(t + 1)
+    return PricePanel(dates.astype(str).tolist(), tuple(assets), prices)
 
 
 def write_prices_csv(panel: PricePanel, dest) -> None:
-    """Write a panel in the loader's CSV format with 10-significant-digit prices,
-    formatting one row at a time so that little memory is used beyond the panel.
-    An asset name with a comma, a quote or a line break raises DataError."""
+    """Write a panel in the loader's CSV format with 10-significant-digit prices, one row
+    at a time so that little memory is used beyond the panel. A date or an asset name that
+    would not read back as it is raises DataError before ``dest`` is opened."""
+    for date in panel.dates:
+        if not _is_date(date):
+            raise DataError(f"date {date!r} is not in YYYY-MM-DD form, so it would not read back")
     write_table(
         dest, ("date", *panel.assets), (str, *[float] * panel.n_assets),
         ((date, *values.tolist()) for date, values in zip(panel.dates, panel.prices)), ",",

@@ -1,3 +1,4 @@
+import datetime
 import io
 import os
 import re
@@ -199,16 +200,34 @@ class TestLoadPrices:
             assert panel.dates == ("2020-01-02", "2020-01-03", "2020-01-06")
             np.testing.assert_array_equal(panel.prices, [[100, 50], [110, 49], [121, 51]])
 
-    def test_regular_file_skips_row_reader(self, monkeypatch, sample_prices_path):
-        expected = load_prices(sample_prices_path)
+    @pytest.mark.parametrize("gappy", [False, True], ids=["complete", "listings"])
+    def test_regular_file_skips_row_reader(self, monkeypatch, sample_prices_path, tmp_path,
+                                           gappy):
+        path = sample_prices_path
+        if gappy:
+            # FIN01, the first price column, lists at row 101; TEC03 delists 60 rows
+            # before the end
+            lines = path.read_text().split("\n")
+            header = lines[0].split(",")
+            rows = [line.split(",") for line in lines[1:-1]]
+            for row in rows[:100]:
+                row[header.index("FIN01")] = ""
+            for row in rows[-60:]:
+                row[header.index("TEC03")] = ""
+            path = tmp_path / "listings.csv"
+            path.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+        with open(path, newline="") as fh:
+            expected = marketdata._load_rows(fh)
 
         def refuse(fh):
             raise AssertionError("a regular file reached the row reader")
 
         monkeypatch.setattr(marketdata, "_load_rows", refuse)
-        panel = load_prices(sample_prices_path)
-        assert panel.dates == expected.dates and panel.assets == expected.assets
-        np.testing.assert_array_equal(panel.prices, expected.prices)
+        panel = load_prices(path)
+        assert (panel.dates, panel.assets, panel.dropped_assets) == (
+            expected.dates, expected.assets, expected.dropped_assets)
+        assert panel.dropped_assets == (("FIN01", "TEC03") if gappy else ())
+        assert panel.prices.tobytes() == expected.prices.tobytes()
 
 
 class TestCsvMemory:
@@ -243,6 +262,25 @@ class TestCsvMemory:
     def test_load_keeps_no_second_price_array(self, big_panel):
         panel, peak = self.traced_peak(lambda: load_prices(big_panel[1]))
         assert peak <= 1.6 * panel.prices.nbytes
+
+    def test_gappy_load_peak_within_two_and_a_half_parsed_arrays(self, big_panel, tmp_path):
+        # one empty cell: the parsed array and its copy without that column
+        lines = big_panel[1].read_text().split("\n")
+        cells = lines[10_000].split(",")
+        cells[7] = ""
+        lines[10_000] = ",".join(cells)
+        path = tmp_path / "gappy.csv"
+        path.write_text("\n".join(lines))
+        panel, peak = self.traced_peak(lambda: load_prices(path))
+        assert panel.prices.shape == (20_001, 29) and panel.dropped_assets == ("A007",)
+        assert peak <= 2.5 * big_panel[0].prices.nbytes
+
+    def test_panel_from_returns_dates_are_consecutive_days(self):
+        panel = panel_from_returns(np.zeros((100_000, 1)))
+        origin = datetime.date(2000, 1, 3).toordinal()
+        assert panel.dates == tuple(
+            datetime.date.fromordinal(origin + i).isoformat() for i in range(100_001))
+        assert all(type(date) is str for date in panel.dates)
 
     def test_panel_from_returns_keeps_no_second_price_array(self):
         draws = np.where(np.random.default_rng(9).random((20_000, 30)) < 0.55, 1.0, -1.0)

@@ -13,6 +13,7 @@ import dataclasses
 import datetime
 import io
 import math
+import re
 import sys
 from unittest import mock
 
@@ -323,6 +324,18 @@ ODD_FILES = [
     "date,A0,A1\n2020-01-01,1,2\n2020-01-02,3,\n",
     "date,A0,A1\n2020-01-01,1,2\n2020-01-02,3,",
     "date,A0,A1\n2020-01-01,,2\n",
+    # empty cells: adjacent, at the line end, a whole row, a whole column
+    "date,A0,A1,A2,A3\n2020-01-01,1,,,4\n2020-01-02,2,3,4,5\n",
+    "date,A0,A1,A2\n2020-01-01,1,,\n2020-01-02,2,3,4",
+    "date,A0,A1,A2\n2020-01-01,1,2,3\n2020-01-02,,,\n",
+    "date,A0,A1,A2\n2020-01-01,1,2,3\n2020-01-02,,,",
+    "date,A0,A1\n2020-01-01,,2\n2020-01-02,,3\n",
+    "date,A0,A1\n2020-01-01,1,\n2020-01-02,2,\n",
+    # an empty cell in the first block of 64 Ki characters, a nan in the last
+    "date,A0,A1\n" + "".join(
+        f"{datetime.date(2000, 1, 1) + datetime.timedelta(i)},{'' if i == 0 else i},"
+        f"{'nan' if i == 4999 else 1}\n" for i in range(5000)
+    ),
 ]
 
 
@@ -367,22 +380,47 @@ ASSET_NAMES = st.lists(
 ) | st.just(["A0", "A1", "A2", "A3"])
 
 
+def reads_back_as_date(text):
+    """Whether the loader reads ``text`` back as the same date string."""
+    try:
+        datetime.date.fromisoformat(text)
+    except ValueError:
+        return False
+    return re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text) is not None
+
+
+GOOD_NAMES = ["A", "B", "C", "D"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     prices=arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 4)),
                   elements=st.floats(1e-300, 1e300)),
     first_day=st.integers(0, 2_000_000),
     names=ASSET_NAMES,
+    odd=st.none() | st.tuples(st.integers(0, 7), st.sampled_from(ODD_DATES)),
 )
-@example(prices=np.ones((2, 2)), first_day=0, names=["A,B", "C", "D", "E"])
-@example(prices=np.ones((2, 2)), first_day=0, names=["A\tB", "C", "D", "E"])
-@example(prices=np.ones((2, 2)), first_day=0, names=["", "B", "C", "D"])
-@example(prices=np.ones((2, 2)), first_day=0, names=["A", "A", "C", "D"])
-@example(prices=np.ones((2, 2)), first_day=0, names=[" A", "B", "C", "D"])
-def test_written_panel_reads_back(prices, first_day, names):
+@example(prices=np.ones((2, 2)), first_day=0, names=["A,B", "C", "D", "E"], odd=None)
+@example(prices=np.ones((2, 2)), first_day=0, names=["A\tB", "C", "D", "E"], odd=None)
+@example(prices=np.ones((2, 2)), first_day=0, names=["", "B", "C", "D"], odd=None)
+@example(prices=np.ones((2, 2)), first_day=0, names=["A", "A", "C", "D"], odd=None)
+@example(prices=np.ones((2, 2)), first_day=0, names=[" A", "B", "C", "D"], odd=None)
+@example(prices=np.ones((2, 2)), first_day=0, names=GOOD_NAMES, odd=(1, "2020-1-02"))
+@example(prices=np.ones((2, 2)), first_day=0, names=GOOD_NAMES, odd=(1, "b"))
+@example(prices=np.ones((2, 2)), first_day=0, names=GOOD_NAMES, odd=(1, "2020-02-30"))
+@example(prices=np.ones((2, 2)), first_day=0, names=GOOD_NAMES, odd=(0, " 2020-01-02"))
+@example(prices=np.ones((2, 2)), first_day=0, names=GOOD_NAMES, odd=(1, "1999-12-31"))
+def test_written_panel_reads_back(prices, first_day, names, odd):
     t, m = prices.shape
-    dates = tuple(datetime.date.fromordinal(1 + first_day + i).isoformat() for i in range(t))
+    dates = [datetime.date.fromordinal(1 + first_day + i).isoformat() for i in range(t)]
+    if odd is not None:
+        dates[odd[0] % t] = odd[1]
+    dates = tuple(dates)
     names = tuple(names[:m])
+    if any(a >= b for a, b in zip(dates, dates[1:])):
+        with pytest.raises(DataError, match="^dates must be strictly increasing$"):
+            marketdata.PricePanel(dates, names, prices)
+        return
     if any(name != name.strip() or not name for name in names):
         with pytest.raises(DataError, match="^asset name .* is blank, padded with spaces or no string$"):
             marketdata.PricePanel(dates, names, prices)
@@ -393,6 +431,13 @@ def test_written_panel_reads_back(prices, first_day, names):
         return
     panel = marketdata.PricePanel(dates, names, prices)
     out = io.StringIO()
+    bad = [date for date in dates if not reads_back_as_date(date)]
+    if bad:
+        message = f"^date {re.escape(repr(bad[0]))} is not in YYYY-MM-DD form, so it would not"
+        with pytest.raises(DataError, match=message):
+            marketdata.write_prices_csv(panel, out)
+        assert out.getvalue() == ""
+        return
     if any(c in name for name in panel.assets for c in ',"\r\n'):
         with pytest.raises(DataError, match="^header field .* so it would not read back$"):
             marketdata.write_prices_csv(panel, out)
